@@ -1,5 +1,7 @@
 """kinklab: a verification lab for the kink dynamics of cellular automaton rule 18."""
 
+__version__ = "0.1.0"  # set before the submodule imports; density records it
+
 from .dynamics import (
     R18,
     R90,
@@ -53,5 +55,3 @@ from .density import (
     sample_uniform,
     word_frequency_trajectory,
 )
-
-__version__ = "0.1.0"

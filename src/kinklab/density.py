@@ -2,7 +2,12 @@
 
 Wide cyclic configurations emulate the shift-invariant measure.  Trials draw
 their streams from a counter-based Philox generator keyed on (seed, trial), so
-results are independent of execution order and the degree of parallelism.
+each trial's cells depend on nothing but the seed and its index.
+
+The engine is bit-parallel ("multi-spin" coding): a trial's configuration is
+one Python int, bit i holding cell i, and a cyclic rule-18 step is two
+rotations, an xor and a mask.  Observables read the word doubled,
+``x | x << width``, so every cyclic window is an ordinary bit range.
 """
 
 from __future__ import annotations
@@ -10,27 +15,28 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CyclicConfig
-from .errors import DegenerateWindow, WidthTooSmall
+from . import __version__
+from .dynamics import CyclicConfig, check_word
+from .errors import BadWord, DegenerateWindow, WidthTooSmall
 
 GENERATOR_NAME = "numpy-philox-4x64"
+ENGINE_NAME = "python-int-bitparallel"
 
 
-def thread_budget() -> int:
-    value = os.environ.get("KINKLAB_THREADS", "")
-    if value.isdigit() and int(value) > 0:
-        return int(value)
-    return os.cpu_count() or 1
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + trial))
+    return np.random.Generator(np.random.Philox(key=(seed << 64) + trial))
 
 
 def sample_uniform(width: int, seed: int) -> CyclicConfig:
@@ -38,21 +44,48 @@ def sample_uniform(width: int, seed: int) -> CyclicConfig:
     (width, seed)."""
     if width < 3:
         raise WidthTooSmall(f"width {width} < 3")
-    bits = _trial_rng(seed, 0).integers(0, 2, size=width, dtype=np.uint8)
+    bits = _trial_rng(_check_seed(seed), 0).integers(0, 2, size=width, dtype=np.uint8)
     return CyclicConfig("".join("1" if b else "0" for b in bits))
 
 
-def _step_cyclic_array(a: np.ndarray) -> np.ndarray:
-    return (1 - a) * (np.roll(a, 1) ^ np.roll(a, -1))
+def _step(x: int, width: int) -> int:
+    """One cyclic rule-18 step, ``~b & (a ^ c)`` on the rotated words."""
+    top = width - 1
+    return ~x & ((x << 1 | x >> top) ^ (x >> 1 | x << top)) & ((1 << width) - 1)
 
 
-def _count_kinks_array(a: np.ndarray) -> int:
-    width = a.size
-    ones = np.flatnonzero(a)
-    if ones.size == 0:
-        return 0
-    gaps = np.diff(ones, append=ones[0] + width) - 1
-    return int(np.count_nonzero((gaps % 2 == 0) & (gaps <= width - 2)))
+def _kink_counter(width: int) -> Callable[[int], int]:
+    """Cyclic kink count of a packed configuration (reference:
+    ``kinks.count_kinks_cyclic``): the 1s whose cyclic predecessor 1 lies at
+    odd distance, read on the upper copy of the doubled word.  The carry-in of
+    ``g + (g | zeros)``, g the even 1s, marks bits whose last 1 is even.  With
+    fewer than two 1s there is no kink (the ``gap <= width - 2`` cap)."""
+    full = (1 << 2 * width) - 1
+    even = full // 3  # 0b...0101
+
+    def count(x: int) -> int:
+        if x & (x - 1) == 0:
+            return 0
+        d = x | x << width
+        g = d & even
+        p = g | (full ^ d)
+        last_even = (g + p) ^ g ^ p
+        return ((last_even ^ even) >> width & x).bit_count()
+
+    return count
+
+
+def _occurrence_counter(w: str, width: int) -> Callable[[int], int]:
+    """Cyclic occurrences of w in a packed configuration: the AND, over k, of
+    the doubled word shifted by k, complemented where ``w[k]`` is 0."""
+    def count(x: int) -> int:
+        d = x | x << width
+        hits = (1 << width) - 1
+        for k, ch in enumerate(w):
+            hits &= d >> k if ch == "1" else ~d >> k
+        return hits.bit_count()
+
+    return count
 
 
 @dataclass(frozen=True)
@@ -79,14 +112,35 @@ class PowerLawFit:
         return 1.0 / (8.0 * math.pi * self.amplitude**2)
 
 
-def _run_trials(trials: int, per_trial) -> np.ndarray:
-    workers = min(thread_budget(), trials) or 1
-    if workers <= 1:
-        rows = [per_trial(t) for t in range(trials)]
+def _trajectory(width: int, steps: int, trials: int, seed: int,
+                observe: Callable[[int], int], monotone: bool) -> DensitySeries:
+    """Per-step mean of ``observe(x) / width``; if ``monotone``, counts never rise."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    seed = _check_seed(seed)
+    rows = []
+    for t in range(trials):
+        bits = _trial_rng(seed, t).integers(0, 2, size=width, dtype=np.uint8)
+        x = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        counts = [observe(x)]
+        for _ in range(steps):
+            x = _step(x, width)
+            cur = observe(x)
+            if monotone and cur > counts[-1]:
+                raise RuntimeError(
+                    f"kink count increased ({counts[-1]} -> {cur}) in trial {t}: engine bug"
+                )
+            counts.append(cur)
+        rows.append(counts)
+    counts = np.array(rows, dtype=np.float64) / width
+    values = tuple(float(v) for v in counts.mean(axis=0))
+    if trials > 1:
+        err = counts.std(axis=0, ddof=1) / math.sqrt(trials)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(per_trial, range(trials)))
-    return np.array(rows, dtype=np.float64)
+        err = np.zeros(steps + 1)
+    return DensitySeries(width, steps, trials, seed, values, tuple(float(e) for e in err))
 
 
 def density_trajectory(width: int, steps: int, trials: int, seed: int) -> DensitySeries:
@@ -96,81 +150,24 @@ def density_trajectory(width: int, steps: int, trials: int, seed: int) -> Densit
     light cone over the measured horizon.  Kink counts are asserted to be
     non-increasing within every trial: creation would be an engine bug.
     """
-    if width < max(3, 2 * steps + 3):
-        raise WidthTooSmall(
-            f"width {width} < {max(3, 2 * steps + 3)} required for {steps} steps"
-        )
-    if trials < 1:
-        raise ValueError("need at least one trial")
-
-    def per_trial(t: int) -> list[int]:
-        a = _trial_rng(seed, t).integers(0, 2, size=width, dtype=np.uint8)
-        counts = [_count_kinks_array(a)]
-        for _ in range(steps):
-            a = _step_cyclic_array(a)
-            counts.append(_count_kinks_array(a))
-        for prev, cur in zip(counts, counts[1:]):
-            if cur > prev:
-                raise RuntimeError(
-                    f"kink count increased ({prev} -> {cur}) in trial {t}: engine bug"
-                )
-        return counts
-
-    counts = _run_trials(trials, per_trial) / width
-    values = tuple(float(v) for v in counts.mean(axis=0))
-    if trials > 1:
-        err = counts.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        err = np.zeros(steps + 1)
-    return DensitySeries(
-        width=width,
-        steps=steps,
-        trials=trials,
-        seed=seed,
-        values=values,
-        stderr=tuple(float(e) for e in err),
-    )
+    floor = max(3, 2 * steps + 3)
+    if width < floor:
+        raise WidthTooSmall(f"width {width} < {floor} required for {steps} steps")
+    return _trajectory(width, steps, trials, seed, _kink_counter(width), monotone=True)
 
 
 def word_frequency_trajectory(
     w: str, width: int, steps: int, trials: int, seed: int
 ) -> DensitySeries:
     """Per-step empirical frequency of cyclic occurrences of w per cell."""
+    if not check_word(w):
+        raise BadWord("pattern word must be non-empty")
     if width < 3:
         raise WidthTooSmall(f"width {width} < 3")
     if len(w) > width - 2 * steps:
-        raise WidthTooSmall(
-            f"|w| = {len(w)} exceeds width - 2*steps = {width - 2 * steps}"
-        )
-    pattern = np.array([int(ch) for ch in w], dtype=np.uint8)
-
-    def occurrences(a: np.ndarray) -> int:
-        ext = np.concatenate([a, a[: len(w) - 1]])
-        windows = np.lib.stride_tricks.sliding_window_view(ext, len(w))
-        return int(np.count_nonzero(np.all(windows == pattern, axis=1)))
-
-    def per_trial(t: int) -> list[int]:
-        a = _trial_rng(seed, t).integers(0, 2, size=width, dtype=np.uint8)
-        counts = [occurrences(a)]
-        for _ in range(steps):
-            a = _step_cyclic_array(a)
-            counts.append(occurrences(a))
-        return counts
-
-    counts = _run_trials(trials, per_trial) / width
-    values = tuple(float(v) for v in counts.mean(axis=0))
-    if trials > 1:
-        err = counts.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        err = np.zeros(steps + 1)
-    return DensitySeries(
-        width=width,
-        steps=steps,
-        trials=trials,
-        seed=seed,
-        values=values,
-        stderr=tuple(float(e) for e in err),
-    )
+        raise WidthTooSmall(f"|w| = {len(w)} exceeds width - 2*steps = {width - 2 * steps}")
+    observe = _occurrence_counter(w, width)
+    return _trajectory(width, steps, trials, seed, observe, monotone=False)
 
 
 def default_window(steps: int) -> tuple[int, int]:
@@ -217,6 +214,9 @@ def write_density_metadata(
     series: DensitySeries, path: str, fit: PowerLawFit | None = None
 ) -> None:
     payload: dict = {
+        "engine": ENGINE_NAME,
+        "kinklab_version": __version__,
+        "numpy_version": np.__version__,
         "rng": series.generator,
         "width": series.width,
         "steps": series.steps,

@@ -142,6 +142,28 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--steps", "-1"),
+        ("--trials", "0"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+        ("--seed", "1.5"),
+    ],
+    ids=["negative-steps", "zero-trials", "negative-seed", "seed-too-large", "float-seed"],
+)
+def test_density_bad_run_parameters_exit_2(capsys, tmp_path, flags):
+    prefix = str(tmp_path / "run")
+    code, out, err = run(
+        capsys, "density", "--width", "131", "--steps", "8", "--out", prefix, *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert "required for" not in err  # not the width floor
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

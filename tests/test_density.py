@@ -1,22 +1,35 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kinklab
 from kinklab import (
+    CyclicConfig,
+    count_kinks_cyclic,
     density_trajectory,
     fit_power_law,
     sample_uniform,
+    step_cyclic,
     word_frequency_trajectory,
 )
 from kinklab.density import (
+    ENGINE_NAME,
     GENERATOR_NAME,
     DensitySeries,
+    _kink_counter,
+    _occurrence_counter,
+    _step,
+    _trajectory,
     default_window,
     write_density_csv,
     write_density_metadata,
 )
-from kinklab.errors import DegenerateWindow, WidthTooSmall
+from kinklab.errors import BadWord, DegenerateWindow, WidthTooSmall
 
 
 def test_sample_uniform_is_deterministic():
@@ -37,11 +50,18 @@ def test_density_trajectory_deterministic():
     assert len(s1.values) == 65
 
 
-def test_density_trajectory_independent_of_thread_count(monkeypatch):
-    baseline = density_trajectory(131, 32, 6, seed=1)
-    monkeypatch.setenv("KINKLAB_THREADS", "1")
-    serial = density_trajectory(131, 32, 6, seed=1)
-    assert serial.values == baseline.values
+def test_trial_row_independent_of_later_trials():
+    def recorder(rows):
+        def observe(x):
+            rows.append(x)
+            return 0
+        return observe
+
+    few, many = [], []
+    _trajectory(131, 32, 2, 1, recorder(few), monotone=False)
+    _trajectory(131, 32, 6, 1, recorder(many), monotone=False)
+    assert len(few) == 2 * 33 and len(many) == 6 * 33
+    assert many[: len(few)] == few
 
 
 def test_initial_density_near_one_third():
@@ -121,8 +141,6 @@ def test_csv_reruns_byte_identical(tmp_path):
 
 
 def test_metadata_sidecar(tmp_path):
-    import json
-
     s = density_trajectory(259, 128, 8, seed=2)
     fit = fit_power_law(s, (16, 115))
     path = tmp_path / "meta.json"
@@ -135,15 +153,127 @@ def test_metadata_sidecar(tmp_path):
     )
 
 
-def test_cyclic_array_step_matches_string_engine():
-    from kinklab import CyclicConfig, step_cyclic
-    from kinklab.density import _step_cyclic_array
+def test_kink_increase_is_an_engine_error():
+    counts = iter(range(100))
+    with pytest.raises(RuntimeError, match=r"kink count increased \(0 -> 1\) in trial 0"):
+        _trajectory(131, 8, 1, 0, lambda x: next(counts), monotone=True)
 
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        width = int(rng.integers(3, 40))
-        bits = "".join(rng.choice(["0", "1"], size=width))
-        arr = np.array([int(ch) for ch in bits], dtype=np.uint8)
-        assert "".join(map(str, _step_cyclic_array(arr))) == step_cyclic(
-            CyclicConfig(bits)
-        ).bits
+
+def test_metadata_provenance(tmp_path):
+    s = density_trajectory(131, 16, 2, seed=4)
+    path = tmp_path / "meta.json"
+    write_density_metadata(s, path)
+    payload = json.loads(path.read_text())
+    assert payload["engine"] == ENGINE_NAME
+    assert payload["kinklab_version"] == kinklab.__version__
+    assert payload["numpy_version"] == np.__version__
+
+
+# Golden results, computed with the numpy engine this runner replaced.
+GOLDEN_CSV = {
+    (131, 32, 6, 1): "2384f22c5ebd71e024ce9948825609e3ed0a64c806005ad269ed650815ca71da",
+    (259, 128, 16, 11): "2fab20221a38b532182c74ed113bae7ae4dee93a1da13bf5b118ae270cbe021a",
+}
+GOLDEN_FREQUENCY = "99b43999b59ec54387ea50c4edf7a75bdce89bf343877721cf4558141a7048fa"
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_CSV))
+def test_density_csv_golden_digest(tmp_path, shape):
+    path = tmp_path / "run.csv"
+    write_density_csv(density_trajectory(*shape), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV[shape]
+
+
+def test_word_frequency_golden_digest():
+    s = word_frequency_trajectory("1101001", 257, 64, 4, 3)
+    digest = hashlib.sha256(repr((s.values, s.stderr)).encode()).hexdigest()
+    assert digest == GOLDEN_FREQUENCY
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: density_trajectory(131, -1, 2, seed=0),
+        lambda: density_trajectory(131, 8, 0, seed=0),
+        lambda: density_trajectory(131, 8, 2, seed=-1),
+        lambda: density_trajectory(131, 8, 2, seed=2**64),
+        lambda: density_trajectory(131, 8, 2, seed=1.5),
+        lambda: word_frequency_trajectory("11", 131, 8, 0, seed=0),
+        lambda: word_frequency_trajectory("11", 131, -1, 2, seed=0),
+        lambda: sample_uniform(64, seed=-1),
+    ],
+    ids=[
+        "negative-steps",
+        "zero-trials",
+        "negative-seed",
+        "seed-too-large",
+        "float-seed",
+        "frequency-zero-trials",
+        "frequency-negative-steps",
+        "sample-negative-seed",
+    ],
+)
+def test_bad_run_parameters_rejected(call):
+    with pytest.raises(ValueError, match="steps|trial|seed"):
+        call()
+
+
+@pytest.mark.parametrize("w", ["", "0a", "12", " 1"])
+def test_word_frequency_rejects_bad_words(w):
+    with pytest.raises(BadWord):
+        word_frequency_trajectory(w, 131, 8, 2, seed=0)
+
+
+def _pack(bits: str) -> int:
+    return int(bits[::-1], 2)
+
+
+def _unpack(x: int, width: int) -> str:
+    return format(x, f"0{width}b")[::-1]
+
+
+_widths = st.integers(3, 80)
+cyclic_words = st.one_of(
+    _widths.flatmap(lambda n: st.text("01", min_size=n, max_size=n)),
+    _widths.flatmap(
+        lambda n: st.sampled_from(
+            ["0" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1", "1" * n]
+        )
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(cyclic_words)
+def test_int_kink_counter_matches_count_kinks_cyclic(bits):
+    width = len(bits)
+    assert _kink_counter(width)(_pack(bits)) == count_kinks_cyclic(CyclicConfig(bits))
+
+
+@settings(max_examples=400)
+@given(cyclic_words)
+def test_int_step_matches_step_cyclic(bits):
+    width = len(bits)
+    stepped = _unpack(_step(_pack(bits), width), width)
+    assert stepped == step_cyclic(CyclicConfig(bits)).bits
+
+
+@settings(max_examples=400)
+@given(cyclic_words, st.data())
+def test_int_occurrence_count_matches_string_count(bits, data):
+    width = len(bits)
+    w = data.draw(st.text("01", min_size=1, max_size=width))
+    doubled = bits + bits
+    expected = sum(doubled[i : i + len(w)] == w for i in range(width))
+    assert _occurrence_counter(w, width)(_pack(bits)) == expected
+
+
+@pytest.mark.parametrize("width, steps, seed", [(64, 30, 0), (131, 64, 7), (97, 40, 2**64 - 1)])
+def test_one_trial_run_matches_string_engine(width, steps, seed):
+    x = sample_uniform(width, seed)
+    counts = [count_kinks_cyclic(x)]
+    for _ in range(steps):
+        x = step_cyclic(x)
+        counts.append(count_kinks_cyclic(x))
+    one = density_trajectory(width, steps, 1, seed)
+    assert one.values == tuple(c / width for c in counts)
