@@ -70,10 +70,10 @@ def _cmd_simulate(args) -> int:
         )
         final = diagram.rows[-1]
     else:
-        cfg = FiniteSupportConfig(args.support, args.offset)
-        diagram = dynamics.spacetime_support(cfg, args.steps, args.rule)
-        for _ in range(args.steps):
-            cfg = dynamics.step_support(cfg, args.rule)
+        diagram = dynamics.spacetime_support(
+            FiniteSupportConfig(args.support, args.offset), args.steps, args.rule
+        )
+        cfg = FiniteSupportConfig(diagram.rows[-1], diagram.left)
         final = f"{cfg.support or '(empty)'} @ {cfg.offset}"
     if args.render:
         sys.stdout.buffer.write(dynamics.render_spacetime(diagram, args.render))

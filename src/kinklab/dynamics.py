@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from .errors import BadWord, EmptyDiagram, WidthTooSmall, WordTooShort
 
@@ -29,6 +30,21 @@ def check_word(w: str) -> str:
     return w
 
 
+def words(n: int):
+    """Every binary word of length n, in lexicographic order."""
+    return ("".join(bits) for bits in product("01", repeat=n))
+
+
+def padded(w: str, max_left: int, max_right: int):
+    """Yield (|a|, a + w + b) for binary |a| <= max_left, |b| <= max_right,
+    ordered by |a|, then |b|, then a, then b."""
+    for la in range(max_left + 1):
+        for lb in range(max_right + 1):
+            for a in words(la):
+                for b in words(lb):
+                    yield la, a + w + b
+
+
 def rule18_local(a: int, b: int, c: int) -> int:
     return RULE18_TABLE[4 * a + 2 * b + c]
 
@@ -43,13 +59,10 @@ def step_word(w: str, rule: str = R18) -> str:
     Bit-parallel: with the word packed into an int, rule 18 is
     ``~b & (a ^ c)`` on the three shifted lanes, rule 90 is ``a ^ c``.
     """
-    n = len(w)
+    n = len(check_word(w))
     if n < 3:
         raise WordTooShort(f"cannot step word of length {n} < 3")
-    try:
-        x = int(w, 2)
-    except ValueError:
-        raise BadWord(f"not a binary word: {w!r}") from None
+    x = int(w, 2)
     mask = (1 << (n - 2)) - 1
     if rule == R18:
         y = ~(x >> 1) & ((x >> 2) ^ x) & mask
@@ -74,10 +87,11 @@ def step_word_scalar(w: str, rule: str = R18) -> str:
 
 
 def iterate_word(w: str, n: int, rule: str = R18) -> str:
+    check_word(w)
     if n < 0:
         raise ValueError("step count must be non-negative")
     if n == 0:
-        return check_word(w)
+        return w
     if len(w) < 2 * n + 1:
         raise WordTooShort(f"length {len(w)} word cannot survive {n} steps")
     for _ in range(n):
@@ -160,6 +174,7 @@ class SpacetimeDiagram:
 
     rows: tuple[str, ...]
     geometry: Geometry = Geometry.SHRINKING_WORD
+    left: int = 0  # coordinate of each row's first cell (padded support)
 
 
 def spacetime_word(w: str, steps: int, rule: str = R18) -> SpacetimeDiagram:
@@ -194,7 +209,7 @@ def spacetime_support(
     rows = tuple(
         "".join(str(c.symbol(i)) for i in range(left, right)) for c in configs
     )
-    return SpacetimeDiagram(rows, Geometry.PADDED_SUPPORT)
+    return SpacetimeDiagram(rows, Geometry.PADDED_SUPPORT, left)
 
 
 def render_spacetime(diagram: SpacetimeDiagram, format: str = "ascii") -> bytes:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Any, Callable
 
 from . import dynamics, kinks, preimage, wordclasses
-from .dynamics import FiniteSupportConfig, CyclicConfig
+from .dynamics import FiniteSupportConfig, CyclicConfig, padded, words
 
 
 class OracleStatus(Enum):
@@ -124,27 +123,22 @@ def verify_annihilation(max_support: int = 12, max_steps: int = 4096) -> OracleR
     """Every finite-support configuration reaches at most one kink, with the
     surviving parity equal to the initial parity."""
     budget = {"max_support": max_support, "max_steps": max_steps}
-    supports = [""]
-    for length in range(1, max_support + 1):
-        if length == 1:
-            supports.append("1")
-        else:
-            supports.extend(
-                "1" + "".join(m) + "1" for m in product("01", repeat=length - 2)
-            )
+    supports = [""] + ["1"] * (max_support >= 1) + [
+        "1" + m + "1" for n in range(max_support - 1) for m in words(n)
+    ]
     for s in supports:
         parity = kinks.count_kinks(s) % 2
         cfg = FiniteSupportConfig(s)
         steps = 0
-        while kinks.count_kinks(cfg.support) > 1:
+        while (m := kinks.count_kinks(cfg.support)) > 1:
             if steps >= max_steps:
                 return OracleReport(
                     "annihilation", OracleStatus.BUDGET_EXHAUSTED, budget, s,
-                    f"still {kinks.count_kinks(cfg.support)} kinks after {max_steps} steps",
+                    f"still {m} kinks after {max_steps} steps",
                 )
             cfg = dynamics.step_support(cfg)
             steps += 1
-        if kinks.count_kinks(cfg.support) % 2 != parity:
+        if m % 2 != parity:
             return _fail(
                 "annihilation", budget, s,
                 f"kink parity flipped after {steps} steps",
@@ -195,8 +189,8 @@ def verify_preimage_reduction_cases(max_k: int = 8) -> OracleReport:
             )
         prefix = "1" + "0" * (2 * (k + 1)) + "1"
         for u_len in range(1, 4):
-            for u_bits in product("01", repeat=u_len):
-                w5 = "00" + "11" + "01" * k + "00" + "".join(u_bits)
+            for u in words(u_len):
+                w5 = "00" + "11" + "01" * k + "00" + u
                 if not dynamics.step_word(w5).startswith(prefix):
                     return _fail(
                         "preimage_reduction_cases", budget, w5,
@@ -217,10 +211,9 @@ def _find_mobility_witness(steps: int, shift: int, max_pad: int):
             # the marker must survive inside the shrunken word
             if la + shift - steps < 0:
                 continue
-            for a_bits in product("01", repeat=la):
-                a = "".join(a_bits)
-                for b_bits in product("01", repeat=lb):
-                    u = a + marker + "".join(b_bits)
+            for a in words(la):
+                for b in words(lb):
+                    u = a + marker + b
                     if kinks.count_kinks(u) != 2:
                         continue
                     image = dynamics.iterate_word(u, steps)
@@ -249,23 +242,20 @@ def verify_mobility(max_pad: int = 8) -> OracleReport:
     return _ok("mobility", budget, f"left via {left}, right via {right}")
 
 
-def flipflop_violation(u: str, u_prime: str, pad: int) -> str | None:
+def flipflop_violation(u: str, partner: str, pad: int, shift: int = 0) -> str | None:
     """Search for a preimage of a context around u that itself has a preimage
-    but does not carry u_prime one cell to the left; returns a witness or None.
+    but does not carry partner at preimage index la + shift, where la is the
+    length of the context's left pad; returns a witness or None.
 
     Word index j of a target corresponds to index j+1 of its preimage, so
-    "u_prime at coordinate -1 relative to u at p" means preimage index p.
+    "partner at coordinate -1 relative to u at p" means shift 0, and
+    "partner at coordinate +1" means shift 2.
     """
-    for la in range(pad + 1):
-        for lb in range(pad + 1):
-            for x_bits in product("01", repeat=la):
-                for y_bits in product("01", repeat=lb):
-                    ctx = "".join(x_bits) + u + "".join(y_bits)
-                    for v in preimage.preimages(ctx).members:
-                        if not preimage.has_preimage(v):
-                            continue
-                        if v[la : la + len(u_prime)] != u_prime:
-                            return v
+    for la, ctx in padded(u, pad, pad):
+        at = la + shift
+        for v in preimage.preimages(ctx).members:
+            if v[at : at + len(partner)] != partner and preimage.has_preimage(v):
+                return v
     return None
 
 
@@ -276,35 +266,15 @@ def verify_flipflop(max_k: int = 2, pad: int = 2) -> OracleReport:
     for k in range(max_k + 1):
         u = "1" + "100010" * k + "1001"
         u_prime = "1001" + "010001" * k + "1"
-        witness = flipflop_violation(u, u_prime, pad)
-        if witness is not None:
-            return _fail(
-                "flipflop", budget, witness,
-                f"preimage of context around {u} misses {u_prime}",
-            )
-        # symmetric direction: u one cell to the right of u_prime means
-        # preimage index p+2 when u_prime sits at context offset p
-        witness = _flipflop_violation_reverse(u_prime, u, pad)
-        if witness is not None:
-            return _fail(
-                "flipflop", budget, witness,
-                f"preimage of context around {u_prime} misses {u}",
-            )
+        # u_prime one cell to the left of u, then u one cell to the right of u_prime
+        for centre, partner, shift in ((u, u_prime, 0), (u_prime, u, 2)):
+            witness = flipflop_violation(centre, partner, pad, shift)
+            if witness is not None:
+                return _fail(
+                    "flipflop", budget, witness,
+                    f"preimage of context around {centre} misses {partner}",
+                )
     return _ok("flipflop", budget)
-
-
-def _flipflop_violation_reverse(u_prime: str, u: str, pad: int) -> str | None:
-    for la in range(pad + 1):
-        for lb in range(pad + 1):
-            for x_bits in product("01", repeat=la):
-                for y_bits in product("01", repeat=lb):
-                    ctx = "".join(x_bits) + u_prime + "".join(y_bits)
-                    for v in preimage.preimages(ctx).members:
-                        if not preimage.has_preimage(v):
-                            continue
-                        if v[la + 2 : la + 2 + len(u)] != u:
-                            return v
-    return None
 
 
 def _two_kink_words_shaped(prefix: str, suffix: str, length: int):
@@ -321,7 +291,7 @@ def _two_kink_words_shaped(prefix: str, suffix: str, length: int):
             return
         template[j] = ch
     free = [i for i, t in enumerate(template) if t is None]
-    for bits in product("01", repeat=len(free)):
+    for bits in words(len(free)):
         cells = list(template)
         for i, b in zip(free, bits):
             cells[i] = b

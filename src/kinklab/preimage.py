@@ -1,7 +1,11 @@
 """Preimage enumeration under rule 18 and kink-preserving extension families.
 
-Preimages are computed by dynamic programming over the two-symbol overlap
-between consecutive neighborhoods; extension families are honest finite
+A preimage u of w is a walk through 2-bit overlap states: the state at layer i
+is (u[i], u[i+1]), and the move to (u[i+1], u[i+2]) emits rule18 of the three
+cells, which must equal w[i].  The moves form a fixed transition table, built
+once; a right-to-left pass over its backward closure gives, per layer, the mask
+of states that can still complete w, and enumeration walks only those states
+(the transfer-matrix view of Jen 1989).  Extension families are honest finite
 truncations with explicit pad bounds.
 """
 
@@ -9,10 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
-from . import dynamics, kinks, wordclasses
-from .dynamics import check_word, step_word
+from . import dynamics, wordclasses
+from .dynamics import check_word, padded, step_word, words
 from .errors import (
     BadShape,
     ExcludedForm,
@@ -41,57 +44,66 @@ class PreimageSet:
         return len(self.members)
 
 
-def _reach_table(w: str) -> list[list[bool]]:
-    """reach[i][s] = the 2-bit overlap state s at layer i can complete w[i:]."""
-    n = len(w)
-    target = [int(ch) for ch in w]
-    reach = [[False] * 4 for _ in range(n + 1)]
-    reach[n] = [True] * 4
-    for i in range(n - 1, -1, -1):
-        for s in range(4):
-            s1, s2 = s >> 1, s & 1
-            for c in (0, 1):
-                if (
-                    dynamics.rule18_local(s1, s2, c) == target[i]
-                    and reach[i + 1][(s2 << 1) | c]
-                ):
-                    reach[i][s] = True
-                    break
+def _moves(t: int) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Per overlap state s = (x, y): the (c, (y, c)) moves with rule18(x, y, c) = t,
+    c = "1" first so that a stack walk pops "0" first."""
+    return tuple(
+        tuple(
+            (str(c), (s & 1) << 1 | c)
+            for c in (1, 0)
+            if dynamics.rule18_local(s >> 1, s & 1, c) == t
+        )
+        for s in range(4)
+    )
+
+
+# The rule as a fixed automaton over 2-bit overlap states, keyed by emitted bit.
+_MOVES = {str(t): _moves(t) for t in (0, 1)}
+# _BACK[t][mask]: the states with a move emitting t into a state of mask.
+_BACK = {
+    t: tuple(
+        sum(1 << s for s in range(4) if any(mask >> ns & 1 for _, ns in moves[s]))
+        for mask in range(16)
+    )
+    for t, moves in _MOVES.items()
+}
+
+
+def _check_target(w: str) -> str:
+    """Validate a preimage target: a nonempty binary word."""
+    if not check_word(w):
+        raise WordTooShort("preimages need a nonempty target")
+    return w
+
+
+def _reach_table(w: str) -> list[int]:
+    """reach[i] = mask of the overlap states at layer i that can complete w[i:]."""
+    reach = [15] * (len(w) + 1)
+    for i in range(len(w) - 1, -1, -1):
+        reach[i] = _BACK[w[i]][reach[i + 1]]
     return reach
 
 
 def preimages(w: str) -> PreimageSet:
     """All u of length |w|+2 with step_word(u) = w, in lexicographic order."""
-    check_word(w)
-    if not w:
-        raise WordTooShort("preimages need a nonempty target")
-    n = len(w)
-    target = [int(ch) for ch in w]
+    n = len(_check_target(w))
     reach = _reach_table(w)
     members: list[str] = []
-    stack: list[tuple[int, int, str]] = [
-        (0, s, format(s, "02b")) for s in range(3, -1, -1) if reach[0][s]
-    ]
-    while stack:
+    stack = [(0, s, format(s, "02b")) for s in range(3, -1, -1) if reach[0] >> s & 1]
+    while stack:  # depth first, smaller bits popped first: lexicographic
         i, s, prefix = stack.pop()
         if i == n:
             members.append(prefix)
             continue
-        s1, s2 = s >> 1, s & 1
-        for c in (1, 0):
-            if dynamics.rule18_local(s1, s2, c) == target[i]:
-                ns = (s2 << 1) | c
-                if reach[i + 1][ns]:
-                    stack.append((i + 1, ns, prefix + str(c)))
-    return PreimageSet(w, tuple(sorted(members)))
+        for c, ns in _MOVES[w[i]][s]:
+            if reach[i + 1] >> ns & 1:
+                stack.append((i + 1, ns, prefix + c))
+    return PreimageSet(w, tuple(members))
 
 
 def has_preimage(w: str) -> bool:
     """Existence-only variant of preimages(), O(|w|)."""
-    check_word(w)
-    if not w:
-        raise WordTooShort("preimages need a nonempty target")
-    return any(_reach_table(w)[0])
+    return _reach_table(_check_target(w))[0] != 0
 
 
 def preimage_depth(w: str, d: int) -> bool:
@@ -116,12 +128,6 @@ class ExtensionFamily:
     members: frozenset[str]
 
 
-def _all_words(max_len: int):
-    for length in range(max_len + 1):
-        for bits in product("01", repeat=length):
-            yield "".join(bits)
-
-
 def enumerate_extensions(
     w: str, left_pad: int, right_pad: int, max_pad: int = MAX_PAD
 ) -> ExtensionFamily:
@@ -130,10 +136,7 @@ def enumerate_extensions(
         raise PadTooLarge(f"pads {(left_pad, right_pad)} exceed bound {max_pad}")
     m = count_kinks(w)
     members = frozenset(
-        a + w + b
-        for a in _all_words(left_pad)
-        for b in _all_words(right_pad)
-        if count_kinks(a + w + b) == m
+        e for _, e in padded(w, left_pad, right_pad) if count_kinks(e) == m
     )
     return ExtensionFamily(w, left_pad, right_pad, members)
 
@@ -186,24 +189,17 @@ def check_stable_extension(w: str, pad: int) -> StableExtensionReport:
             bad.append(e)
 
     equality = True
-    for la in range(pad + 1):
-        for lb in range(pad + 1):
-            for a_bits in product("01", repeat=la):
-                a = "".join(a_bits)
-                for b_bits in product("01", repeat=lb):
-                    b = "".join(b_bits)
-                    u = a + fw + b
-                    if count_kinks(u) != m_fw:
-                        continue
-                    if excluded and any(
-                        u[i] == "1"
-                        for i in range(len(u))
-                        if (i - la - alpha) % 2 != 0
-                    ):
-                        continue  # equality is only claimed up to parity
-                    if not _has_lift(w, m_w, u, la, lb):
-                        equality = False
-                        bad.append(u)
+    for la, u in padded(fw, pad, pad):
+        if count_kinks(u) != m_fw:
+            continue
+        if excluded and any(
+            u[i] == "1" for i in range(len(u)) if (i - la - alpha) % 2 != 0
+        ):
+            continue  # equality is only claimed up to parity
+        lb = len(u) - la - len(fw)
+        if next(_lifts(w, m_w, u, la, lb), None) is None:
+            equality = False
+            bad.append(u)
     return StableExtensionReport(
         word=w,
         pad=pad,
@@ -214,13 +210,14 @@ def check_stable_extension(w: str, pad: int) -> StableExtensionReport:
     )
 
 
-def _has_lift(w: str, m_w: int, u: str, la: int, lb: int) -> bool:
-    for a_bits in product("01", repeat=la):
-        for b_bits in product("01", repeat=lb):
-            e = "".join(a_bits) + w + "".join(b_bits)
+def _lifts(w: str, m_w: int, u: str, la: int, lb: int):
+    """Yield every a' w b' with |a'| = la, |b'| = lb and m_w kinks that steps
+    onto u."""
+    for a in words(la):
+        for b in words(lb):
+            e = a + w + b
             if count_kinks(e) == m_w and step_word(e) == u:
-                return True
-    return False
+                yield e
 
 
 def _image_or_empty(w: str) -> str:
@@ -250,12 +247,7 @@ def unique_lift(w: str, a: str, b: str) -> str:
     # uniqueness holds within the kink-preserving extension family of w;
     # lifts that introduce extra kinks are out of scope
     m_w = count_kinks(w)
-    found: list[str] = []
-    for a_bits in product("01", repeat=len(a)):
-        for b_bits in product("01", repeat=len(b)):
-            e = "".join(a_bits) + w + "".join(b_bits)
-            if count_kinks(e) == m_w and step_word(e) == u:
-                found.append(e)
+    found = list(_lifts(w, m_w, u, len(a), len(b)))
     if not found:
         raise NoLift(f"no lift of {u!r} through {w!r}")
     if len(found) > 1:

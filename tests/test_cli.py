@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kinklab import dynamics
 from kinklab.cli import main
 
 
@@ -35,6 +36,48 @@ def test_simulate_support(capsys):
     )
     assert code == 0
     assert out.strip() == "101 @ -1"
+
+
+@pytest.mark.parametrize("render", [[], ["--render", "ascii"]])
+def test_simulate_support_steps_once(capsys, monkeypatch, render):
+    # the final configuration comes from the diagram's run, not a second one
+    real = dynamics.step_support
+    calls = []
+
+    def counting(x, rule=dynamics.R18):
+        calls.append(x)
+        return real(x, rule)
+
+    monkeypatch.setattr(dynamics, "step_support", counting)
+    code, out, _ = run(capsys, "simulate", "--support", "1", "--steps", "5", *render)
+    assert code == 0
+    assert len(calls) == 5
+    diagram = (
+        ".....#.....\n....#.#....\n...#...#...\n"
+        "..#.#.#.#..\n.#.......#.\n#.#.....#.#\n"
+    )
+    assert out == (diagram if render else "") + "10100000101 @ -5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["0", "--steps", "3"], "(empty) @ 0\n"),
+        (["1", "--steps", "0"], "1 @ 0\n"),
+        (["111", "--steps", "2", "--rule", "r90"], "1110111 @ -2\n"),
+        (
+            ["1101", "--steps", "4", "--offset", "7", "--render", "pbm"],
+            "P1\n12 5\n"
+            "0 0 0 0 1 1 0 1 0 0 0 0\n0 0 0 1 0 0 0 0 1 0 0 0\n"
+            "0 0 1 0 1 0 0 1 0 1 0 0\n0 1 0 0 0 1 1 0 0 0 1 0\n"
+            "1 0 1 0 1 0 0 1 0 1 0 1\n101010010101 @ 3\n",
+        ),
+    ],
+)
+def test_simulate_support_final_state(capsys, argv, expected):
+    code, out, _ = run(capsys, "simulate", "--support", *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_simulate_render_ascii(capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from kinklab import (
     R90,
     SpacetimeDiagram,
     iterate_word,
+    preimages,
     render_spacetime,
     rule18_local,
     rule90_local,
@@ -18,7 +21,14 @@ from kinklab import (
     step_word,
     step_word_scalar,
 )
-from kinklab.errors import BadWord, EmptyDiagram, WidthTooSmall, WordTooShort
+from kinklab.errors import (
+    BadWord,
+    EmptyDiagram,
+    KinklabError,
+    WidthTooSmall,
+    WordTooShort,
+)
+from kinklab.preimage import has_preimage
 
 words = st.text(alphabet="01", min_size=3, max_size=64)
 
@@ -77,8 +87,64 @@ def test_short_words_raise():
 
 
 def test_non_binary_raises():
-    with pytest.raises(BadWord):
-        step_word("01201")
+    # int(w, 2) accepts all but the first; step_word must not parse with it
+    for w in ["01201", "0b101", "1_01", " 101", "-1010", "１０１"]:
+        with pytest.raises(BadWord):
+            step_word(w)
+        with pytest.raises(BadWord):
+            iterate_word(w, 1)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except KinklabError as exc:
+        return type(exc)
+
+
+def _iterate_scalar(w, n):
+    for _ in range(n):
+        w = step_word_scalar(w)
+    return w
+
+
+def _preimages_brute_force(w):
+    if not w:
+        raise WordTooShort("empty target")
+    return tuple(
+        u for u in ("".join(bits) for bits in product("01", repeat=len(w) + 2))
+        if step_word_scalar(u) == w
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.text(max_size=10),
+        st.text(alphabet="01", max_size=10),
+        st.text(alphabet="01b_ -\n１０\u0661", max_size=10),
+    )
+)
+def test_public_word_functions_reject_or_agree(w):
+    """Each public word function raises BadWord on non-binary text and agrees
+    with its reference on binary text, raised errors included."""
+    if not set(w) <= {"0", "1"}:
+        for f, args in [
+            (step_word, ()), (iterate_word, (0,)), (iterate_word, (1,)),
+            (iterate_word, (3,)), (preimages, ()), (has_preimage, ()),
+        ]:
+            with pytest.raises(BadWord):
+                f(w, *args)
+        return
+    assert _outcome(step_word, w) == _outcome(step_word_scalar, w)
+    for n in range(4):
+        assert _outcome(iterate_word, w, n) == _outcome(_iterate_scalar, w, n)
+    expected = _outcome(_preimages_brute_force, w)
+    if isinstance(expected, type):  # the error raised for the empty target
+        assert _outcome(preimages, w) == _outcome(has_preimage, w) == expected
+    else:
+        assert preimages(w).members == expected
+        assert has_preimage(w) is bool(expected)
 
 
 def test_step_cyclic_period_two():

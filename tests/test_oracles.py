@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -53,12 +54,27 @@ def test_figure_iterates_detects_corrupted_rule(monkeypatch):
 def test_flipflop_violation_finds_wrong_partner():
     # 11001 genuinely pairs with 10011; a wrong partner yields a witness
     assert oracles.flipflop_violation("11001", "10011", 1) is None
-    assert oracles.flipflop_violation("11001", "11011", 1) is not None
+    assert oracles.flipflop_violation("11001", "11011", 1) == "1001100"
+
+
+def test_flipflop_violation_partner_to_the_right():
+    # the partner read one cell to the right: preimage index offset 2
+    assert oracles.flipflop_violation("10011", "11001", 1, shift=2) is None
+    assert oracles.flipflop_violation("10011", "11011", 1, shift=2) == "0011001"
 
 
 def test_annihilation_budget_exhaustion_is_reported():
     report = oracles.verify_annihilation(max_support=6, max_steps=1)
     assert report.status is OracleStatus.BUDGET_EXHAUSTED
+
+
+def test_full_profile_json_digest():
+    # verdicts, budgets, witnesses and the enumeration-order-dependent
+    # mobility witnesses are all pinned
+    text = "".join(r.to_json() + "\n" for r in run_all("full"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d4f22a7e2ad76fd363a5ee828d265acc585285fe56fa9ac5350fe595bfd81d26"
+    )
 
 
 def test_full_profile_passes():

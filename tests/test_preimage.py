@@ -11,6 +11,7 @@ from kinklab import (
     preimage_depth,
     preimages,
     step_word,
+    step_word_scalar,
     two_kink_preimage,
     unique_lift,
 )
@@ -55,6 +56,15 @@ def test_preimages_step_back(w):
     assert has_preimage(w) == bool(ps.members)
 
 
+def test_has_preimage_matches_brute_force_existence():
+    # an independent reference: the image set of every word two cells longer
+    for n in range(1, 11):
+        images = {step_word_scalar("".join(u)) for u in product("01", repeat=n + 2)}
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            assert has_preimage(w) == (w in images), w
+
+
 def test_preimage_depth():
     assert preimage_depth("11", 1)
     assert not preimage_depth("111", 1)
@@ -85,7 +95,11 @@ def test_check_stable_extension_unstable_counterexample():
     r = check_stable_extension("0011", 2)
     assert not r.inclusion_holds
     assert not r.equality_holds
-    assert r.counterexamples
+    # pinned in enumeration order: a reordered search fails here
+    assert r.counterexamples == (
+        "00001100", "0001100", "001100", "10001100", "101", "1010",
+        "0101", "01010", "00101", "10101", "001010", "101010",
+    )
 
 
 def test_check_stable_extension_excluded_form():
