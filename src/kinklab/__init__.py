@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"  # set before the submodule imports; density records it
 
+from importlib import import_module as _import_module
+
 from .dynamics import (
     R18,
     R90,
@@ -47,11 +49,25 @@ from .preimage import (
     unique_lift,
 )
 from .oracles import OracleReport, OracleStatus, run_all
-from .density import (
-    DensitySeries,
-    PowerLawFit,
-    density_trajectory,
-    fit_power_law,
-    sample_uniform,
-    word_frequency_trajectory,
-)
+
+# The density lab is the only module that needs numpy, so it is imported on
+# first use of one of its names (PEP 562): every other command starts without it.
+_DENSITY_NAMES = frozenset({
+    "DensitySeries",
+    "PowerLawFit",
+    "density_trajectory",
+    "fit_power_law",
+    "sample_uniform",
+    "word_frequency_trajectory",
+})
+
+
+def __getattr__(name: str):
+    if name == "density" or name in _DENSITY_NAMES:
+        density = _import_module(".density", __name__)
+        return density if name == "density" else getattr(density, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "density", *_DENSITY_NAMES})

@@ -11,13 +11,17 @@ import argparse
 import json
 import sys
 
-from . import density, dynamics, kinks, oracles, preimage, wordclasses
+from . import dynamics, kinks, oracles, preimage, wordclasses
 from .dynamics import CyclicConfig, FiniteSupportConfig
 from .errors import KinklabError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# preimage refuses targets with more preimages than this: the count grows
+# exponentially in |w| (0^40 has 701,408,734) and enumeration holds them all.
+MAX_PREIMAGES = 1 << 16
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,6 +110,12 @@ def _cmd_preimage(args) -> int:
     w = dynamics.check_word(args.word)
     if args.depth < 1:
         raise KinklabError("depth must be >= 1")
+    count = preimage.count_preimages(w)
+    if count > MAX_PREIMAGES:
+        raise KinklabError(
+            f"{w!r} has {count} preimages, more than the {MAX_PREIMAGES} "
+            "the preimage command enumerates"
+        )
     if args.depth == 1:
         print(json.dumps(list(preimage.preimages(w).members)))
     else:
@@ -124,6 +134,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import density  # imports numpy, which no other command needs
+
     series = density.density_trajectory(args.width, args.steps, args.trials, args.seed)
     window = tuple(args.window) if args.window else density.default_window(args.steps)
     try:

@@ -101,6 +101,19 @@ def preimages(w: str) -> PreimageSet:
     return PreimageSet(w, tuple(members))
 
 
+def count_preimages(w: str) -> int:
+    """len(preimages(w)) without enumerating: per layer, the number of walks
+    ending in each overlap state, in Python ints, O(|w|)."""
+    counts = [1] * 4
+    for t in _check_target(w):
+        nxt = [0] * 4
+        for s, moves in enumerate(_MOVES[t]):
+            for _, ns in moves:
+                nxt[ns] += counts[s]
+        counts = nxt
+    return sum(counts)
+
+
 def has_preimage(w: str) -> bool:
     """Existence-only variant of preimages(), O(|w|)."""
     return _reach_table(_check_target(w))[0] != 0

@@ -1,9 +1,17 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kinklab
 from kinklab import dynamics
 from kinklab.cli import main
+
+SRC = str(Path(kinklab.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -205,6 +213,59 @@ def test_density_bad_run_parameters_exit_2(capsys, tmp_path, flags):
     assert out == ""
     assert "required for" not in err  # not the width floor
     assert not (tmp_path / "run.csv").exists()
+
+
+def run_fresh(*argv, **kwargs):
+    """Run main(argv) in a new interpreter; its last stderr line tells whether
+    numpy was imported."""
+    script = (
+        f"import sys\nfrom kinklab.cli import main\nrc = main({list(argv)!r})\n"
+        "sys.stdout.flush()\nprint('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60, **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "1101001"),
+        ("simulate", "--word", "0010101100101", "--steps", "3"),
+        ("preimage", "11"),
+        ("verify", "--profile", "quick"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_do_not_import_numpy(argv):
+    proc = run_fresh(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_density_command_imports_numpy(tmp_path):
+    proc = run_fresh("density", "--width", "131", "--steps", "8", "--trials", "1",
+                     "--out", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "True"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_preimage_refuses_exponential_output(depth):
+    # 0^40 has 701,408,734 preimages: enumerating them would exhaust memory,
+    # so the child runs under a 1 GiB address-space limit
+    proc = run_fresh("preimage", "0" * 40, "--depth", depth,
+                     preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "701408734 preimages" in proc.stderr
 
 
 def test_unknown_command_exit_2(capsys):

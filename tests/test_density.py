@@ -32,6 +32,26 @@ from kinklab.density import (
 from kinklab.errors import BadWord, DegenerateWindow, WidthTooSmall
 
 
+DENSITY_NAMES = (
+    "DensitySeries",
+    "PowerLawFit",
+    "density_trajectory",
+    "fit_power_law",
+    "sample_uniform",
+    "word_frequency_trajectory",
+)
+
+
+def test_lazy_package_attributes():
+    assert kinklab.density_trajectory is kinklab.density.density_trajectory
+    for name in DENSITY_NAMES:
+        assert getattr(kinklab, name) is getattr(kinklab.density, name)
+        assert name in dir(kinklab)
+    assert "density" in dir(kinklab)
+    with pytest.raises(AttributeError):
+        kinklab.no_such_name
+
+
 def test_sample_uniform_is_deterministic():
     a = sample_uniform(64, seed=7)
     b = sample_uniform(64, seed=7)

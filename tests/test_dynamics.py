@@ -28,7 +28,7 @@ from kinklab.errors import (
     WidthTooSmall,
     WordTooShort,
 )
-from kinklab.preimage import has_preimage
+from kinklab.preimage import count_preimages, has_preimage
 
 words = st.text(alphabet="01", min_size=3, max_size=64)
 
@@ -132,6 +132,7 @@ def test_public_word_functions_reject_or_agree(w):
         for f, args in [
             (step_word, ()), (iterate_word, (0,)), (iterate_word, (1,)),
             (iterate_word, (3,)), (preimages, ()), (has_preimage, ()),
+            (count_preimages, ()),
         ]:
             with pytest.raises(BadWord):
                 f(w, *args)
@@ -141,10 +142,14 @@ def test_public_word_functions_reject_or_agree(w):
         assert _outcome(iterate_word, w, n) == _outcome(_iterate_scalar, w, n)
     expected = _outcome(_preimages_brute_force, w)
     if isinstance(expected, type):  # the error raised for the empty target
-        assert _outcome(preimages, w) == _outcome(has_preimage, w) == expected
+        assert (
+            _outcome(preimages, w) == _outcome(has_preimage, w)
+            == _outcome(count_preimages, w) == expected
+        )
     else:
         assert preimages(w).members == expected
         assert has_preimage(w) is bool(expected)
+        assert count_preimages(w) == len(expected)
 
 
 def test_step_cyclic_period_two():

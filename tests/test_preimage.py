@@ -15,6 +15,7 @@ from kinklab import (
     two_kink_preimage,
     unique_lift,
 )
+from kinklab.dynamics import words
 from kinklab.errors import (
     BadShape,
     ExcludedForm,
@@ -22,7 +23,7 @@ from kinklab.errors import (
     PadTooLarge,
     WordTooShort,
 )
-from kinklab.preimage import has_preimage, is_excluded_form
+from kinklab.preimage import count_preimages, has_preimage, is_excluded_form
 
 
 def brute_force_preimages(w):
@@ -63,6 +64,16 @@ def test_has_preimage_matches_brute_force_existence():
         for bits in product("01", repeat=n):
             w = "".join(bits)
             assert has_preimage(w) == (w in images), w
+
+
+def test_count_preimages_matches_enumeration():
+    for n in range(1, 13):
+        for w in words(n):
+            assert count_preimages(w) == len(preimages(w)), w
+
+
+def test_count_preimages_of_zeros_without_enumerating():
+    assert count_preimages("0" * 40) == 701_408_734
 
 
 def test_preimage_depth():
