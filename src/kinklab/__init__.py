@@ -16,6 +16,7 @@ from .dynamics import (
     rule18_local,
     rule90_local,
     step_cyclic,
+    step_packed,
     step_support,
     step_word,
     step_word_scalar,
@@ -25,6 +26,7 @@ from .kinks import (
     TwoKinkDecomposition,
     count_kinks,
     count_kinks_cyclic,
+    count_kinks_packed,
     find_kinks,
     kink_parity,
     two_kink_decompose,

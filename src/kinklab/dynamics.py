@@ -73,6 +73,14 @@ def step_word(w: str, rule: str = R18) -> str:
     return format(y, f"0{n - 2}b")
 
 
+def step_packed(x: int) -> int:
+    """One rule-18 step of the finite word in the bits of x on a 0 background,
+    shifted one cell left: ``step_word("00" + s + "00")`` read as an int."""
+    if x < 0:
+        raise ValueError(f"packed word must be non-negative, got {x}")
+    return ~(x << 1) & (x ^ x << 2)
+
+
 def step_word_scalar(w: str, rule: str = R18) -> str:
     """Naive triple-loop reference used to cross-check the bit-parallel path."""
     check_word(w)

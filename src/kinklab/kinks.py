@@ -36,8 +36,26 @@ def find_kinks(w: str) -> list[KinkOccurrence]:
     return out
 
 
+def count_kinks_packed(x: int) -> int:
+    """Kinks of the finite word held in the bits of x (reference: ``find_kinks``):
+    the 1s whose preceding 1 lies at odd distance.  The carry-in of
+    ``g + (g | zeros)``, g the even 1s, marks bits whose last lower 1 is even.
+    Leading zeros and the reading direction do not change the count."""
+    if x < 0:
+        raise ValueError(f"packed word must be non-negative, got {x}")
+    rest = x & (x - 1)  # every 1 but the lowest
+    if not rest:
+        return 0
+    full = (1 << x.bit_length()) - 1
+    even = full // 3  # 0b...0101
+    g = x & even
+    p = g | (full ^ x)
+    return (((g + p) ^ g ^ p ^ even) & rest).bit_count()
+
+
 def count_kinks(w: str) -> int:
-    return len(find_kinks(w))
+    check_word(w)
+    return count_kinks_packed(int(w, 2)) if w else 0
 
 
 def kink_parity(w: str) -> int:

@@ -17,6 +17,7 @@ from kinklab import (
     rule18_local,
     rule90_local,
     step_cyclic,
+    step_packed,
     step_support,
     step_word,
     step_word_scalar,
@@ -174,6 +175,12 @@ def test_step_support_examples():
     assert step_support(empty) == empty
 
 
+def test_step_packed_rejects_negative():
+    # a negative int has infinitely many 1s
+    with pytest.raises(ValueError):
+        step_packed(-1)
+
+
 def test_support_canonical_trim():
     c = FiniteSupportConfig("00101000", 3)
     assert (c.support, c.offset) == ("101", 5)
@@ -202,12 +209,6 @@ def test_rule90_additivity(n, data):
     sx = step_word(xor, R90)
     sw, sv = step_word(w, R90), step_word(v, R90)
     assert sx == "".join(str(int(a) ^ int(b)) for a, b in zip(sw, sv))
-
-
-@settings(max_examples=300)
-@given(words, st.sampled_from([R18, R90]))
-def test_bit_parallel_matches_scalar(w, rule):
-    assert step_word(w, rule) == step_word_scalar(w, rule)
 
 
 def test_render_ascii():

@@ -6,6 +6,7 @@ from kinklab import (
     CyclicConfig,
     count_kinks,
     count_kinks_cyclic,
+    count_kinks_packed,
     find_kinks,
     kink_parity,
     step_word,
@@ -39,6 +40,12 @@ def test_count_examples():
     assert count_kinks("10011") == 2
     assert kink_parity("111") == 0
     assert kink_parity("11") == 1
+
+
+def test_count_kinks_packed_rejects_negative():
+    # a negative int has infinitely many 1s
+    with pytest.raises(ValueError):
+        count_kinks_packed(-1)
 
 
 @given(words)

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from kinklab import OracleStatus, run_all
+from kinklab import OracleStatus, find_kinks, run_all
 from kinklab import oracles
+from kinklab.dynamics import words
 
 
 def test_run_all_quick_passes():
@@ -66,6 +67,51 @@ def test_flipflop_violation_partner_to_the_right():
 def test_annihilation_budget_exhaustion_is_reported():
     report = oracles.verify_annihilation(max_support=6, max_steps=1)
     assert report.status is OracleStatus.BUDGET_EXHAUSTED
+
+
+def test_annihilation_fails_when_a_step_creates_a_kink(monkeypatch):
+    # negative control for the invariant inside the packed loop: a step that
+    # sets the cell next to a trailing 1 turns 111 (2 kinks) into 1111 (3)
+    monkeypatch.setattr(oracles.dynamics, "step_packed", lambda x: x << 1 | 1)
+    report = oracles.verify_annihilation(max_support=4)
+    assert report.status is OracleStatus.FAIL
+    assert report.witness == "111"
+    assert report.detail == "kink count rose from 2 to 3 at step 1"
+
+
+def _two_kink_words_shaped_template(prefix, suffix, length):
+    """The template-and-free-cells generator that _two_kink_words_shaped
+    replaced, kept as its reference."""
+    if length < max(len(prefix), len(suffix)):
+        return
+    template = [None] * length
+    for i, ch in enumerate(prefix):
+        template[i] = ch
+    for i, ch in enumerate(suffix):
+        j = length - len(suffix) + i
+        if template[j] is not None and template[j] != ch:
+            return
+        template[j] = ch
+    free = [i for i, t in enumerate(template) if t is None]
+    for bits in words(len(free)):
+        cells = list(template)
+        for i, b in zip(free, bits):
+            cells[i] = b
+        w = "".join(cells)
+        if len(find_kinks(w)) == 2:
+            yield w
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix",
+    [("1100", "1001"), ("1100", "0011"), ("11", "1"), ("101", "0101"), ("1", "111")],
+)
+def test_two_kink_words_shaped_matches_template(prefix, suffix):
+    # ("1", "111") has a suffix longer than some lengths: nothing is yielded
+    for length in range(16):
+        assert list(oracles._two_kink_words_shaped(prefix, suffix, length)) == list(
+            _two_kink_words_shaped_template(prefix, suffix, length)
+        ), length
 
 
 def test_full_profile_json_digest():
