@@ -14,7 +14,6 @@ from .dynamics import (
     iterate_word,
     render_spacetime,
     rule18_local,
-    rule90_local,
     step_cyclic,
     step_packed,
     step_support,
@@ -28,7 +27,6 @@ from .kinks import (
     count_kinks_cyclic,
     count_kinks_packed,
     find_kinks,
-    kink_parity,
     two_kink_decompose,
 )
 from .wordclasses import (

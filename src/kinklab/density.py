@@ -7,7 +7,9 @@ each trial's cells depend on nothing but the seed and its index.
 The engine is bit-parallel ("multi-spin" coding): a trial's configuration is
 one Python int, bit i holding cell i, and a cyclic rule-18 step is two
 rotations, an xor and a mask.  Observables read the word doubled,
-``x | x << width``, so every cyclic window is an ordinary bit range.
+``x | x << width``, so every cyclic window is an ordinary bit range.  The kink
+count is ``kinks.cyclic_kink_counter``; the string engines ``step_cyclic`` and
+``count_kinks_cyclic`` share no code with this engine and are its references.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import __version__
 from .dynamics import CyclicConfig, check_word
 from .errors import BadWord, DegenerateWindow, WidthTooSmall
+from .kinks import cyclic_kink_counter
 
 GENERATOR_NAME = "numpy-philox-4x64"
 ENGINE_NAME = "python-int-bitparallel"
@@ -52,27 +55,6 @@ def _step(x: int, width: int) -> int:
     """One cyclic rule-18 step, ``~b & (a ^ c)`` on the rotated words."""
     top = width - 1
     return ~x & ((x << 1 | x >> top) ^ (x >> 1 | x << top)) & ((1 << width) - 1)
-
-
-def _kink_counter(width: int) -> Callable[[int], int]:
-    """Cyclic kink count of a packed configuration (reference:
-    ``kinks.count_kinks_cyclic``): the 1s whose cyclic predecessor 1 lies at
-    odd distance, read on the upper copy of the doubled word.  The carry-in of
-    ``g + (g | zeros)``, g the even 1s, marks bits whose last 1 is even.  With
-    fewer than two 1s there is no kink (the ``gap <= width - 2`` cap)."""
-    full = (1 << 2 * width) - 1
-    even = full // 3  # 0b...0101
-
-    def count(x: int) -> int:
-        if x & (x - 1) == 0:
-            return 0
-        d = x | x << width
-        g = d & even
-        p = g | (full ^ d)
-        last_even = (g + p) ^ g ^ p
-        return ((last_even ^ even) >> width & x).bit_count()
-
-    return count
 
 
 def _occurrence_counter(w: str, width: int) -> Callable[[int], int]:
@@ -153,7 +135,7 @@ def density_trajectory(width: int, steps: int, trials: int, seed: int) -> Densit
     floor = max(3, 2 * steps + 3)
     if width < floor:
         raise WidthTooSmall(f"width {width} < {floor} required for {steps} steps")
-    return _trajectory(width, steps, trials, seed, _kink_counter(width), monotone=True)
+    return _trajectory(width, steps, trials, seed, cyclic_kink_counter(width), monotone=True)
 
 
 def word_frequency_trajectory(

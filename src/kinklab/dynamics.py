@@ -49,15 +49,11 @@ def rule18_local(a: int, b: int, c: int) -> int:
     return RULE18_TABLE[4 * a + 2 * b + c]
 
 
-def rule90_local(a: int, b: int, c: int) -> int:
-    return RULE90_TABLE[4 * a + 2 * b + c]
-
-
 def step_word(w: str, rule: str = R18) -> str:
     """One synchronous step on a finite word; output is 2 symbols shorter.
 
-    Bit-parallel: with the word packed into an int, rule 18 is
-    ``~b & (a ^ c)`` on the three shifted lanes, rule 90 is ``a ^ c``.
+    Bit-parallel on the word packed into an int: rule 18 is ``step_packed``
+    without the border cells, rule 90 is ``a ^ c`` on the shifted lanes.
     """
     n = len(check_word(w))
     if n < 3:
@@ -65,17 +61,17 @@ def step_word(w: str, rule: str = R18) -> str:
     x = int(w, 2)
     mask = (1 << (n - 2)) - 1
     if rule == R18:
-        y = ~(x >> 1) & ((x >> 2) ^ x) & mask
+        y = step_packed(x) >> 2
     elif rule == R90:
-        y = ((x >> 2) ^ x) & mask
+        y = (x >> 2) ^ x
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    return format(y, f"0{n - 2}b")
+    return format(y & mask, f"0{n - 2}b")
 
 
 def step_packed(x: int) -> int:
-    """One rule-18 step of the finite word in the bits of x on a 0 background,
-    shifted one cell left: ``step_word("00" + s + "00")`` read as an int."""
+    """One rule-18 step, ``~b & (a ^ c)``, of the word in the bits of x on a 0
+    background, one cell left: ``step_word("00" + s + "00")`` read as an int."""
     if x < 0:
         raise ValueError(f"packed word must be non-negative, got {x}")
     return ~(x << 1) & (x ^ x << 2)

@@ -3,10 +3,14 @@
 A kink is an occurrence of 1 0^{2k} 1; its position is the index of its left
 border (the leftmost 1).  Occurrences at distinct positions are distinct kinks
 even when they share a 1-symbol: 111 holds two.
+
+The string scans ``find_kinks`` and ``count_kinks_cyclic`` are the references
+for the packed counters, which share one carry helper, ``_odd_distance``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,21 +40,24 @@ def find_kinks(w: str) -> list[KinkOccurrence]:
     return out
 
 
+def _odd_distance(d: int, full: int, even: int) -> int:
+    """The bits whose last lower 1 in d lies at odd distance, ``even`` being
+    alternate bits up to ``full``: in ``g + (g | zeros)``, g = d & even, a 1 in
+    g generates a carry, another 1 kills it and a 0 passes it on."""
+    g = d & even
+    p = g | (full ^ d)
+    return (g + p) ^ g ^ p ^ even
+
+
 def count_kinks_packed(x: int) -> int:
     """Kinks of the finite word held in the bits of x (reference: ``find_kinks``):
-    the 1s whose preceding 1 lies at odd distance.  The carry-in of
-    ``g + (g | zeros)``, g the even 1s, marks bits whose last lower 1 is even.
-    Leading zeros and the reading direction do not change the count."""
+    the 1s whose preceding 1 lies at odd distance.  Leading zeros and the
+    reading direction do not change the count."""
     if x < 0:
         raise ValueError(f"packed word must be non-negative, got {x}")
     rest = x & (x - 1)  # every 1 but the lowest
-    if not rest:
-        return 0
     full = (1 << x.bit_length()) - 1
-    even = full // 3  # 0b...0101
-    g = x & even
-    p = g | (full ^ x)
-    return (((g + p) ^ g ^ p ^ even) & rest).bit_count()
+    return (_odd_distance(x, full, full // 3) & rest).bit_count()
 
 
 def count_kinks(w: str) -> int:
@@ -58,8 +65,19 @@ def count_kinks(w: str) -> int:
     return count_kinks_packed(int(w, 2)) if w else 0
 
 
-def kink_parity(w: str) -> int:
-    return count_kinks(w) % 2
+def cyclic_kink_counter(width: int) -> Callable[[int], int]:
+    """Cyclic kink count of a packed configuration, bit i holding cell i: the
+    1s whose cyclic predecessor 1 lies at odd distance, read on the upper copy
+    of the doubled word; none with fewer than two 1s (``gap <= width - 2``)."""
+    full = (1 << 2 * width) - 1
+    even = full // 3
+
+    def count(x: int) -> int:
+        if x & (x - 1) == 0:
+            return 0
+        return (_odd_distance(x | x << width, full, even) >> width & x).bit_count()
+
+    return count
 
 
 def count_kinks_cyclic(x: CyclicConfig) -> int:

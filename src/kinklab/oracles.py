@@ -45,6 +45,14 @@ class OracleReport:
         return json.dumps(payload, sort_keys=True)
 
 
+def _budget(**bounds: int) -> dict[str, int]:
+    """A report's budget; a negative bound would make a check vacuous."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    return bounds
+
+
 def _fail(check: str, budget: dict, witness: str, detail: str) -> OracleReport:
     return OracleReport(check, OracleStatus.FAIL, budget, witness, detail)
 
@@ -67,7 +75,7 @@ FIGURE_ITERATES = (
 def verify_figure_iterates() -> OracleReport:
     """Each figure's n-step image is exact and every word strictly before the
     final step is stable."""
-    budget = {"figures": len(FIGURE_ITERATES)}
+    budget = _budget(figures=len(FIGURE_ITERATES))
     for start, steps, expected in FIGURE_ITERATES:
         w = start
         for t in range(steps):
@@ -100,7 +108,7 @@ def _no_double_zero_words(max_len: int):
 def verify_kink_elimination_parity(max_len: int = 16) -> OracleReport:
     """For u = 001 w 100 with 00-free w: one step collapses u to a single
     even-or-odd gap 1 0^{|w|+2} 1, a kink exactly when u held an odd number."""
-    budget = {"max_len": max_len}
+    budget = _budget(max_len=max_len)
     for w in _no_double_zero_words(max_len - 6):
         u = "001" + w + "100"
         image = dynamics.step_word(u)
@@ -129,7 +137,7 @@ def _kink_counts(x: int):
 def verify_annihilation(max_support: int = 12, max_steps: int = 4096) -> OracleReport:
     """Every finite-support configuration reaches at most one kink, with the
     surviving parity equal to the initial parity and no kink ever created."""
-    budget = {"max_support": max_support, "max_steps": max_steps}
+    budget = _budget(max_support=max_support, max_steps=max_steps)
     supports = [""] + ["1"] * (max_support >= 1) + [
         "1" + m + "1" for n in range(max_support - 1) for m in words(n)
     ]
@@ -163,7 +171,7 @@ def verify_extension_counterexample() -> OracleReport:
     """101 extends step(0011) = 10 without new kinks, yet no kink-preserving
     extension of 0011 maps onto it: the published permuting claim fails on
     unstable words."""
-    budget = {"pads": 1}
+    budget = _budget(pads=1)
     target_family = preimage.enumerate_extensions("10", 1, 1)
     if "101" not in target_family.members:
         return _fail(
@@ -186,20 +194,16 @@ def verify_extension_counterexample() -> OracleReport:
 
 def verify_preimage_reduction_cases(max_k: int = 8) -> OracleReport:
     """The constructive steps that funnel any left kink word down to 11."""
-    budget = {"max_k": max_k}
+    budget = _budget(max_k=max_k)
     for k in range(max_k + 1):
-        w3 = "00" + "11" + "01" * k + "0" + "0"
-        if dynamics.iterate_word(w3, k + 2) != "11":
-            return _fail(
-                "preimage_reduction_cases", budget, w3,
-                f"f^{k + 2} of padded 11(01)^{k}0 is not 11",
-            )
-        w4 = "00" + "11" + "01" * k + "00"
-        if dynamics.iterate_word(w4, k + 2) != "11":
-            return _fail(
-                "preimage_reduction_cases", budget, w4,
-                f"f^{k + 2} of padded 11(01)^{k} is not 11",
-            )
+        # cases 3 and 4, 11(01)^k 0 and 11(01)^k, pad to the same word
+        for tail in ("0", ""):
+            w = "00" + "11" + "01" * k + tail + "0" * (2 - len(tail))
+            if dynamics.iterate_word(w, k + 2) != "11":
+                return _fail(
+                    "preimage_reduction_cases", budget, w,
+                    f"f^{k + 2} of padded 11(01)^{k}{tail} is not 11",
+                )
         prefix = "1" + "0" * (2 * (k + 1)) + "1"
         for u_len in range(1, 4):
             for u in words(u_len):
@@ -239,20 +243,17 @@ def _find_mobility_witness(steps: int, shift: int, max_pad: int):
 def verify_mobility(max_pad: int = 8) -> OracleReport:
     """1101001 can be walked one cell left in 5 steps and one cell right in 3,
     matching the worked spacetime figures."""
-    budget = {"max_pad": max_pad}
-    left = _find_mobility_witness(steps=5, shift=-1, max_pad=max_pad)
-    if left is None:
-        return OracleReport(
-            "mobility", OracleStatus.BUDGET_EXHAUSTED, budget, None,
-            "no left-move witness within pad budget",
-        )
-    right = _find_mobility_witness(steps=3, shift=+1, max_pad=max_pad)
-    if right is None:
-        return OracleReport(
-            "mobility", OracleStatus.BUDGET_EXHAUSTED, budget, None,
-            "no right-move witness within pad budget",
-        )
-    return _ok("mobility", budget, f"left via {left}, right via {right}")
+    budget = _budget(max_pad=max_pad)
+    found = []
+    for side, steps, shift in (("left", 5, -1), ("right", 3, +1)):
+        witness = _find_mobility_witness(steps, shift, max_pad)
+        if witness is None:
+            return OracleReport(
+                "mobility", OracleStatus.BUDGET_EXHAUSTED, budget, None,
+                f"no {side}-move witness within pad budget",
+            )
+        found.append(witness)
+    return _ok("mobility", budget, "left via {}, right via {}".format(*found))
 
 
 def flipflop_violation(u: str, partner: str, pad: int, shift: int = 0) -> str | None:
@@ -275,7 +276,7 @@ def flipflop_violation(u: str, partner: str, pad: int, shift: int = 0) -> str | 
 def verify_flipflop(max_k: int = 2, pad: int = 2) -> OracleReport:
     """The alternating pair 1(100010)^k 1001 / 1001(010001)^k 1 force each
     other in consecutive twice-steppable preimages."""
-    budget = {"max_k": max_k, "pad": pad}
+    budget = _budget(max_k=max_k, pad=pad)
     for k in range(max_k + 1):
         u = "1" + "100010" * k + "1001"
         u_prime = "1001" + "010001" * k + "1"
@@ -290,6 +291,11 @@ def verify_flipflop(max_k: int = 2, pad: int = 2) -> OracleReport:
     return _ok("flipflop", budget)
 
 
+def _shaped(w: str, prefix: str, suffix: str) -> bool:
+    """w is a two-kink word beginning with prefix and ending with suffix."""
+    return w.startswith(prefix) and w.endswith(suffix) and kinks.count_kinks(w) == 2
+
+
 def _two_kink_words_shaped(prefix: str, suffix: str, length: int):
     """Two-kink words of the given length with the given boundary shape; the
     prefix and suffix may overlap."""
@@ -298,7 +304,7 @@ def _two_kink_words_shaped(prefix: str, suffix: str, length: int):
         return
     for mid in words(max(0, head - len(prefix))):
         w = (prefix + mid)[:head] + suffix
-        if w.startswith(prefix) and kinks.count_kinks(w) == 2:
+        if _shaped(w, prefix, suffix):
             yield w
 
 
@@ -310,24 +316,14 @@ def _backward_survivors(
 ) -> set[str]:
     """Iterate the forced-preimage map `length` times, keeping only words that
     stay two-kink words of the given boundary shape throughout."""
-
-    def in_class(w: str) -> bool:
-        return (
-            w.startswith(prefix)
-            and w.endswith(suffix)
-            and kinks.count_kinks(w) == 2
-        )
-
     survivors = set()
     for w in _two_kink_words_shaped(prefix, suffix, length):
         cur = w
-        alive = True
         for _ in range(length):
             cur = step_back(cur)
-            if not in_class(cur):
-                alive = False
+            if not _shaped(cur, prefix, suffix):
                 break
-        if alive:
+        else:
             survivors.add(w)
     return survivors
 
@@ -335,7 +331,7 @@ def _backward_survivors(
 def verify_two_kink_backward(max_m: int = 4, max_back_len: int = 17) -> OracleReport:
     """The two-branch double-step constructions for the difficult alternating
     subcase, plus the backward-forcing uniqueness of the flip-flop endpoints."""
-    budget = {"max_m": max_m, "max_back_len": max_back_len}
+    budget = _budget(max_m=max_m, max_back_len=max_back_len)
     for m in range(max_m + 1):
         if m % 2 == 0:
             u2 = "001011" + "000000010101" * (m // 2) + "00001"
@@ -349,38 +345,25 @@ def verify_two_kink_backward(max_m: int = 4, max_back_len: int = 17) -> OracleRe
                 f"f^2 gave {image}, expected {target} (m={m})",
             )
 
-    # endpoint shape A: maps to the reversal of one forward step of 00·w
-    def back_a(w: str) -> str:
-        return dynamics.step_word("00" + w)[::-1]
-
-    # endpoint shape B: two forward steps of 00·w·00, same length
-    def back_b(w: str) -> str:
-        return dynamics.iterate_word("00" + w + "00", 2)
-
-    for length in range(5, max_back_len + 1):
-        survivors = _backward_survivors(length, "1100", "1001", back_a)
-        if (length - 5) % 6 == 0:
-            expected = {"1" + "100010" * ((length - 5) // 6) + "1001"}
-        else:
-            expected = set()
-        if survivors != expected:
-            return _fail(
-                "two_kink_backward", budget,
-                ",".join(sorted(survivors)) or "(empty)",
-                f"shape-A survivors at length {length} differ from {sorted(expected)}",
-            )
-    for length in range(6, max_back_len + 1):
-        survivors = _backward_survivors(length, "1100", "0011", back_b)
-        if (length - 7) % 6 == 0:
-            expected = {"11000" + "101000" * ((length - 7) // 6) + "11"}
-        else:
-            expected = set()
-        if survivors != expected:
-            return _fail(
-                "two_kink_backward", budget,
-                ",".join(sorted(survivors)) or "(empty)",
-                f"shape-B survivors at length {length} differ from {sorted(expected)}",
-            )
+    # Endpoint shape A maps w to the reversal of one forward step of 00·w, shape
+    # B to two forward steps of 00·w·00; one survivor at lengths base + 6j.
+    shapes = (
+        ("A", 5, "1001", lambda w: dynamics.step_word("00" + w)[::-1],
+         5, lambda j: "1" + "100010" * j + "1001"),
+        ("B", 6, "0011", lambda w: dynamics.iterate_word("00" + w + "00", 2),
+         7, lambda j: "11000" + "101000" * j + "11"),
+    )
+    for shape, first, suffix, step_back, base, survivor in shapes:
+        for length in range(first, max_back_len + 1):
+            survivors = _backward_survivors(length, "1100", suffix, step_back)
+            j, r = divmod(length - base, 6)
+            expected = {survivor(j)} if r == 0 else set()
+            if survivors != expected:
+                return _fail(
+                    "two_kink_backward", budget,
+                    ",".join(sorted(survivors)) or "(empty)",
+                    f"shape-{shape} survivors at length {length} differ from {sorted(expected)}",
+                )
     return _ok("two_kink_backward", budget)
 
 
@@ -388,7 +371,7 @@ def verify_separation() -> OracleReport:
     """The witnesses separating the three limit notions: a period-2 cycle
     containing 10011, its exclusion from the two-kink language, and the double
     kink destruction that starves 001101100 of asymptotic measure."""
-    budget = {}
+    budget = _budget()
     x = CyclicConfig("1001")
     if dynamics.step_cyclic(dynamics.step_cyclic(x)).bits != "1001":
         return _fail("separation", budget, "1001", "cyclic 1001 is not period-2")

@@ -145,6 +145,8 @@ def enumerate_extensions(
     w: str, left_pad: int, right_pad: int, max_pad: int = MAX_PAD
 ) -> ExtensionFamily:
     check_word(w)
+    if left_pad < 0 or right_pad < 0:
+        raise ValueError(f"pads must be non-negative, got {(left_pad, right_pad)}")
     if left_pad > max_pad or right_pad > max_pad:
         raise PadTooLarge(f"pads {(left_pad, right_pad)} exceed bound {max_pad}")
     m = count_kinks(w)
@@ -233,10 +235,6 @@ def _lifts(w: str, m_w: int, u: str, la: int, lb: int):
                 yield e
 
 
-def _image_or_empty(w: str) -> str:
-    return "" if len(w) == 2 else step_word(w)
-
-
 def unique_lift(w: str, a: str, b: str) -> str:
     """The unique a', b' with step_word(a' w b') = a·step_word(w)·b.
 
@@ -251,7 +249,7 @@ def unique_lift(w: str, a: str, b: str) -> str:
         raise NotStable(f"{w!r} is unstable")
     if is_excluded_form(w):
         raise ExcludedForm(f"{w!r} is of the excluded alternating form")
-    fw = _image_or_empty(w)
+    fw = "" if len(w) == 2 else step_word(w)
     u = a + fw + b
     if count_kinks(u) != count_kinks(fw):
         raise ValueError(f"{u!r} is not a kink-preserving extension of {fw!r}")

@@ -1,12 +1,14 @@
 """Membership tests for the word classes governing kink dynamics.
 
-Stability is decided by two hand-compiled DFAs for the regular languages
-(e+0)(10)*11(0+1)* (left unstable) and its mirror (0+1)*11(01)*(e+0)
-(right unstable).  A word is stable when neither accepts.
+A word is left unstable when it matches the regular expression
+(e+0)(10)*11(0+1)*, decided by the stdlib ``re`` engine, and right unstable
+when its reversal is left unstable, i.e. it matches (0+1)*11(01)*(e+0).
+A word is stable when it is neither.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 from .dynamics import check_word
@@ -21,36 +23,14 @@ class StabilityClass(Enum):
     BOTH_UNSTABLE = "BothUnstable"
 
 
-# DFA for (e+0)(10)*11(0+1)*.
-# States: 0 start, 1 expecting the 1 of a "10" block (or of "11"),
-#         2 just read that 1, 3 accept sink, 4 dead.
-_LU_TRANS = {
-    (0, "0"): 1,
-    (0, "1"): 2,
-    (1, "0"): 4,
-    (1, "1"): 2,
-    (2, "0"): 1,
-    (2, "1"): 3,
-    (3, "0"): 3,
-    (3, "1"): 3,
-    (4, "0"): 4,
-    (4, "1"): 4,
-}
-_LU_ACCEPT = {3}
+_LEFT_UNSTABLE_RE = re.compile(r"0?(10)*11[01]*")
 
 
 def is_left_unstable(w: str) -> bool:
-    check_word(w)
-    state = 0
-    for ch in w:
-        state = _LU_TRANS[(state, ch)]
-        if state == 4:
-            return False
-    return state in _LU_ACCEPT
+    return _LEFT_UNSTABLE_RE.fullmatch(check_word(w)) is not None
 
 
 def is_right_unstable(w: str) -> bool:
-    # The right-unstable language is the reversal of the left-unstable one.
     return is_left_unstable(w[::-1])
 
 
@@ -98,10 +78,6 @@ def in_B(w: str) -> bool:
     if not any(p + g + 1 == len(w) - 1 for p, g in occ):
         return False
     return not _is_alternating_b_exclusion(w)
-
-
-def in_B_reversed(w: str) -> bool:
-    return in_B(reverse(w))
 
 
 def _is_flipflop_shape(b: str) -> bool:

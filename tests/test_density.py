@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import kinklab
 from kinklab import (
-    CyclicConfig,
     count_kinks_cyclic,
     density_trajectory,
     fit_power_law,
@@ -21,15 +20,14 @@ from kinklab.density import (
     ENGINE_NAME,
     GENERATOR_NAME,
     DensitySeries,
-    _kink_counter,
     _occurrence_counter,
-    _step,
     _trajectory,
     default_window,
     write_density_csv,
     write_density_metadata,
 )
 from kinklab.errors import BadWord, DegenerateWindow, WidthTooSmall
+from test_fast_paths import _pack, cyclic_words
 
 
 DENSITY_NAMES = (
@@ -242,40 +240,6 @@ def test_bad_run_parameters_rejected(call):
 def test_word_frequency_rejects_bad_words(w):
     with pytest.raises(BadWord):
         word_frequency_trajectory(w, 131, 8, 2, seed=0)
-
-
-def _pack(bits: str) -> int:
-    return int(bits[::-1], 2)
-
-
-def _unpack(x: int, width: int) -> str:
-    return format(x, f"0{width}b")[::-1]
-
-
-_widths = st.integers(3, 80)
-cyclic_words = st.one_of(
-    _widths.flatmap(lambda n: st.text("01", min_size=n, max_size=n)),
-    _widths.flatmap(
-        lambda n: st.sampled_from(
-            ["0" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1", "1" * n]
-        )
-    ),
-)
-
-
-@settings(max_examples=400)
-@given(cyclic_words)
-def test_int_kink_counter_matches_count_kinks_cyclic(bits):
-    width = len(bits)
-    assert _kink_counter(width)(_pack(bits)) == count_kinks_cyclic(CyclicConfig(bits))
-
-
-@settings(max_examples=400)
-@given(cyclic_words)
-def test_int_step_matches_step_cyclic(bits):
-    width = len(bits)
-    stepped = _unpack(_step(_pack(bits), width), width)
-    assert stepped == step_cyclic(CyclicConfig(bits)).bits
 
 
 @settings(max_examples=400)

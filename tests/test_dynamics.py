@@ -15,7 +15,6 @@ from kinklab import (
     preimages,
     render_spacetime,
     rule18_local,
-    rule90_local,
     step_cyclic,
     step_packed,
     step_support,
@@ -29,6 +28,7 @@ from kinklab.errors import (
     WidthTooSmall,
     WordTooShort,
 )
+from kinklab.dynamics import RULE90_TABLE
 from kinklab.preimage import count_preimages, has_preimage
 
 words = st.text(alphabet="01", min_size=3, max_size=64)
@@ -46,7 +46,7 @@ def test_rule90_table():
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
-                assert rule90_local(a, b, c) == a ^ c
+                assert RULE90_TABLE[4 * a + 2 * b + c] == a ^ c
 
 
 @pytest.mark.parametrize(

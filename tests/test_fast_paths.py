@@ -1,9 +1,11 @@
 """Each bit-parallel fast path against its reference, in one table.
 
-A case lists the fast path, its reference, inputs checked every time and a
-hypothesis strategy (or None when the fixed inputs cover the whole domain).
+A case lists the fast path, its reference, inputs checked every time, a
+hypothesis strategy (or None when the fixed inputs cover the whole domain) and
+the number of hypothesis examples.  No reference calls its own fast path.
 """
 
+import re
 from typing import Callable, NamedTuple
 
 import pytest
@@ -13,17 +15,25 @@ from hypothesis import strategies as st
 from kinklab import (
     R18,
     R90,
-    FiniteSupportConfig,
+    CyclicConfig,
     count_kinks,
+    count_kinks_cyclic,
     count_kinks_packed,
     find_kinks,
+    preimages,
+    step_cyclic,
     step_packed,
-    step_support,
     step_word,
     step_word_scalar,
+    two_kink_preimage,
 )
+from kinklab.density import _step
 from kinklab.dynamics import words
+from kinklab.kinks import cyclic_kink_counter
 from kinklab.oracles import _kink_counts
+from kinklab.wordclasses import is_right_unstable
+
+RIGHT_UNSTABLE_RE = re.compile(r"[01]*11(01)*0?")
 
 
 class Case(NamedTuple):
@@ -31,6 +41,7 @@ class Case(NamedTuple):
     reference: Callable
     fixed: list
     inputs: st.SearchStrategy | None
+    examples: int = 300
 
 
 def _packed(w: str) -> int:
@@ -46,9 +57,11 @@ def _step_packed_as_support(s: str) -> tuple[str, int]:
     return format(y, "b").rstrip("0"), len(s) - (y.bit_length() - 1)
 
 
-def _step_support_reference(s: str) -> tuple[str, int]:
-    c = step_support(FiniteSupportConfig(s))
-    return c.support, c.offset
+def _step_scalar_as_support(s: str) -> tuple[str, int]:
+    """One scalar step of s (first cell at coordinate 0) on a 0 background,
+    trimmed to its support and offset: cell j of the image is coordinate j - 1."""
+    y = step_word_scalar("00" + s + "00")
+    return (y.strip("0"), y.index("1") - 1) if "1" in y else ("", 0)
 
 
 def _annihilation_steps_packed(s: str) -> int:
@@ -56,12 +69,45 @@ def _annihilation_steps_packed(s: str) -> int:
 
 
 def _annihilation_steps_reference(s: str) -> int:
-    cfg = FiniteSupportConfig(s)
     steps = 0
-    while len(find_kinks(cfg.support)) > 1:
-        cfg = step_support(cfg)
+    while len(find_kinks(s)) > 1:
+        s = _step_scalar_as_support(s)[0]
         steps += 1
     return steps
+
+
+def _pack(bits: str) -> int:
+    """Cyclic configuration to the density engine's int: bit i holds cell i."""
+    return int(bits[::-1], 2)
+
+
+def _unpack(x: int, width: int) -> str:
+    return format(x, f"0{width}b")[::-1]
+
+
+_widths = st.integers(3, 80)
+cyclic_words = st.one_of(
+    _widths.flatmap(lambda n: st.text("01", min_size=n, max_size=n)),
+    _widths.flatmap(
+        lambda n: st.sampled_from(
+            ["0" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1", "1" * n]
+        )
+    ),
+)
+
+
+def _two_kink_preimage_targets() -> list[str]:
+    """Every 11 v 11 with |v| <= 7 in two_kink_preimage's domain: two kinks, an
+    even number of 1s in v and only odd zero-runs in v."""
+    return [
+        w
+        for n in range(1, 8)
+        for v in words(n)
+        for w in ["11" + v + "11"]
+        if count_kinks(w) == 2
+        and v.count("1") % 2 == 0
+        and all(len(r) % 2 == 1 for r in v.split("1"))
+    ]
 
 
 EDGE_WORDS = ["", "0", "00", "0000000", "1", "11", "111", "0001", "0001011", "0101", "1001"]
@@ -78,7 +124,7 @@ CASES = {
         st.text(alphabet="01", max_size=200),
     ),
     "step_packed": Case(
-        _step_packed_as_support, _step_support_reference, EDGE_WORDS,
+        _step_packed_as_support, _step_scalar_as_support, EDGE_WORDS,
         st.text(alphabet="01", max_size=64),
     ),
     "annihilation_steps": Case(
@@ -93,6 +139,32 @@ CASES = {
         [],
         st.tuples(st.text(alphabet="01", min_size=3, max_size=64), st.sampled_from([R18, R90])),
     ),
+    "cyclic_kink_counter": Case(
+        lambda bits: cyclic_kink_counter(len(bits))(_pack(bits)),
+        lambda bits: count_kinks_cyclic(CyclicConfig(bits)),
+        [],
+        cyclic_words,
+        400,
+    ),
+    "density_step": Case(
+        lambda bits: _unpack(_step(_pack(bits), len(bits)), len(bits)),
+        lambda bits: step_cyclic(CyclicConfig(bits)).bits,
+        [],
+        cyclic_words,
+        400,
+    ),
+    "is_right_unstable": Case(
+        is_right_unstable,
+        lambda w: RIGHT_UNSTABLE_RE.fullmatch(w) is not None,
+        [w for n in range(17) for w in words(n)],
+        None,
+    ),
+    "two_kink_preimage": Case(
+        lambda w: [two_kink_preimage(w)],
+        lambda w: [p for p in preimages(w).members if count_kinks(p) == 2],
+        _two_kink_preimage_targets(),
+        None,
+    ),
 }
 
 
@@ -104,7 +176,7 @@ def test_fast_path_matches_reference(name):
     if case.inputs is None:
         return
 
-    @settings(max_examples=300)
+    @settings(max_examples=case.examples)
     @given(case.inputs)
     def agree(x):
         assert case.fast(x) == case.reference(x)

@@ -35,6 +35,69 @@ def test_each_oracle_passes_individually(name):
     assert report.status is OracleStatus.PASS, (report.detail, report.witness)
 
 
+@pytest.mark.parametrize(
+    "name, bounds",
+    [
+        ("kink_elimination_parity", {"max_len": -5}),
+        ("annihilation", {"max_support": -3}),
+        ("annihilation", {"max_steps": -1}),
+        ("preimage_reduction_cases", {"max_k": -1}),
+        ("mobility", {"max_pad": -1}),
+        ("flipflop", {"max_k": -1}),
+        ("flipflop", {"pad": -1}),
+        ("two_kink_backward", {"max_m": -1}),
+        ("two_kink_backward", {"max_back_len": -1}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else next(iter(v)),
+)
+def test_negative_budget_rejected(name, bounds):
+    # a negative bound explores nothing, so the check would Pass vacuously
+    (bound,) = bounds
+    with pytest.raises(ValueError, match=f"{bound} must be non-negative"):
+        oracles._ORACLES[name](**bounds)
+
+
+def test_reduction_cases_failure_reports(monkeypatch):
+    # cases 3 and 4 pad to the same word; each keeps its own report text
+    images = iter(["00"])
+    monkeypatch.setattr(oracles.dynamics, "iterate_word", lambda w, n: next(images))
+    r = oracles.verify_preimage_reduction_cases(0)
+    assert (r.status, r.witness) == (OracleStatus.FAIL, "001100")
+    assert r.detail == "f^2 of padded 11(01)^00 is not 11"
+    images = iter(["11", "00"])
+    r = oracles.verify_preimage_reduction_cases(0)
+    assert r.detail == "f^2 of padded 11(01)^0 is not 11"
+
+
+def test_mobility_budget_reports(monkeypatch):
+    def witness(missing):
+        return lambda steps, shift, max_pad: None if shift in missing else f"w{steps}"
+
+    for missing, detail in [
+        ((-1, 1), "no left-move witness within pad budget"),
+        ((1,), "no right-move witness within pad budget"),
+    ]:
+        monkeypatch.setattr(oracles, "_find_mobility_witness", witness(missing))
+        r = oracles.verify_mobility(8)
+        assert (r.status, r.witness, r.detail) == (OracleStatus.BUDGET_EXHAUSTED, None, detail)
+    monkeypatch.setattr(oracles, "_find_mobility_witness", witness(()))
+    assert oracles.verify_mobility(8).detail == "left via w5, right via w3"
+
+
+def test_two_kink_backward_failure_reports(monkeypatch):
+    real = oracles._backward_survivors
+    for lost, detail in [
+        ("1001", "shape-A survivors at length 5 differ from ['11001']"),
+        ("0011", "shape-B survivors at length 7 differ from ['1100011']"),
+    ]:
+        def survivors(length, prefix, suffix, step_back, lost=lost):
+            return set() if suffix == lost else real(length, prefix, suffix, step_back)
+
+        monkeypatch.setattr(oracles, "_backward_survivors", survivors)
+        r = oracles.verify_two_kink_backward(0, 13)
+        assert (r.status, r.witness, r.detail) == (OracleStatus.FAIL, "(empty)", detail)
+
+
 def test_figure_iterates_detects_corrupted_rule(monkeypatch):
     # negative control: a broken step function must be caught, not absorbed
     real = oracles.dynamics.step_word

@@ -1,4 +1,3 @@
-import re
 from itertools import product
 
 import pytest
@@ -15,10 +14,7 @@ from kinklab import (
     reverse,
 )
 from kinklab.errors import NotTwoKink
-from kinklab.wordclasses import in_B_reversed, is_left_unstable, is_right_unstable
-
-LEFT_UNSTABLE_RE = re.compile(r"0?(10)*11[01]*")
-RIGHT_UNSTABLE_RE = re.compile(r"[01]*11(01)*0?")
+from kinklab.wordclasses import is_left_unstable
 
 
 def all_words(max_len, min_len=0):
@@ -44,13 +40,6 @@ def test_classify_examples(w, expected):
     assert classify_stability(w) is expected
 
 
-def test_dfa_matches_reference_regex_exhaustively():
-    # exhaustive cross-check against the stdlib regex engine up to length 16
-    for w in all_words(16):
-        assert is_left_unstable(w) == bool(LEFT_UNSTABLE_RE.fullmatch(w)), w
-        assert is_right_unstable(w) == bool(RIGHT_UNSTABLE_RE.fullmatch(w)), w
-
-
 def test_left_kink_word_examples():
     assert is_left_kink_word("11")
     assert is_left_kink_word("100101")
@@ -73,8 +62,8 @@ def test_in_B_members_are_left_unstable():
 
 
 def test_in_B_reversed():
-    assert in_B_reversed("10011")
-    assert not in_B_reversed("11001")
+    assert in_B(reverse("10011"))
+    assert not in_B(reverse("11001"))
 
 
 @pytest.mark.parametrize(
