@@ -94,34 +94,39 @@ def verify_figure_iterates() -> OracleReport:
 
 
 def _no_double_zero_words(max_len: int):
-    """All words of length <= max_len avoiding the factor 00 (incl. empty)."""
-    frontier = [""]
+    """(n, w) for every word of length n <= max_len avoiding the factor 00
+    (incl. empty), w packed into an int with its last cell in bit 0."""
+    frontier = [(0, 0)]
     while frontier:
-        w = frontier.pop()
-        yield w
-        if len(w) < max_len:
-            frontier.append(w + "1")
-            if not w.endswith("0"):
-                frontier.append(w + "0")
+        n, w = frontier.pop()
+        yield n, w
+        if n < max_len:
+            frontier.append((n + 1, w << 1 | 1))
+            if n == 0 or w & 1:  # w does not end in 0
+                frontier.append((n + 1, w << 1))
 
 
 def verify_kink_elimination_parity(max_len: int = 16) -> OracleReport:
     """For u = 001 w 100 with 00-free w: one step collapses u to a single
-    even-or-odd gap 1 0^{|w|+2} 1, a kink exactly when u held an odd number."""
+    even-or-odd gap 1 0^{|w|+2} 1, a kink exactly when u held an odd number.
+    On packed ints, u = ``1 << n+3 | w << 3 | 4`` with n = |w| steps to
+    ``step_packed(u) >> 2`` on n + 4 cells; strings are built only on failure."""
     budget = _budget(max_len=max_len)
-    for w in _no_double_zero_words(max_len - 6):
-        u = "001" + w + "100"
-        image = dynamics.step_word(u)
-        expected = "1" + "0" * (len(w) + 2) + "1"
+    if max_len < 6:
+        raise ValueError(f"max_len must be at least 6 to hold 001100, got {max_len}")
+    for n, w in _no_double_zero_words(max_len - 6):
+        u = 1 << n + 3 | w << 3 | 4
+        image = dynamics.step_packed(u) >> 2 & (1 << n + 4) - 1
+        expected = 1 << n + 3 | 1
         if image != expected:
             return _fail(
-                "kink_elimination_parity", budget, u,
-                f"step({u}) = {image}, expected {expected}",
+                "kink_elimination_parity", budget, f"{u:0{n + 6}b}",
+                f"step({u:0{n + 6}b}) = {image:0{n + 4}b}, expected {expected:0{n + 4}b}",
             )
-        image_is_kink = len(w) % 2 == 0  # gap |w|+2 even
-        if image_is_kink != (kinks.count_kinks(u) % 2 == 1):
+        image_is_kink = n % 2 == 0  # gap n+2 even
+        if image_is_kink != (kinks.count_kinks_packed(u) % 2 == 1):
             return _fail(
-                "kink_elimination_parity", budget, u,
+                "kink_elimination_parity", budget, f"{u:0{n + 6}b}",
                 "kink parity of input does not match image gap parity",
             )
     return _ok("kink_elimination_parity", budget)
@@ -297,15 +302,20 @@ def _shaped(w: str, prefix: str, suffix: str) -> bool:
 
 
 def _two_kink_words_shaped(prefix: str, suffix: str, length: int):
-    """Two-kink words of the given length with the given boundary shape; the
-    prefix and suffix may overlap."""
+    """Two-kink words of the given length with the given boundary shape, in
+    lexicographic order; the prefix and suffix may overlap.  Depth-first over
+    the middle cells, "1" pushed before "0", cutting a branch once it holds
+    more than two kinks: every kink of a prefix is a kink of the whole word."""
     head = length - len(suffix)
     if head < 0:
         return
-    for mid in words(max(0, head - len(prefix))):
-        w = (prefix + mid)[:head] + suffix
-        if _shaped(w, prefix, suffix):
-            yield w
+    stack = [prefix]
+    while stack:
+        w = stack.pop()
+        if len(w) < head:
+            stack += [v for v in (w + "1", w + "0") if kinks.count_kinks(v) <= 2]
+        elif _shaped(w[:head] + suffix, prefix, suffix):
+            yield w[:head] + suffix
 
 
 def _backward_survivors(

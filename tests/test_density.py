@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kinklab
 from kinklab import (
@@ -20,14 +18,12 @@ from kinklab.density import (
     ENGINE_NAME,
     GENERATOR_NAME,
     DensitySeries,
-    _occurrence_counter,
     _trajectory,
     default_window,
     write_density_csv,
     write_density_metadata,
 )
 from kinklab.errors import BadWord, DegenerateWindow, WidthTooSmall
-from test_fast_paths import _pack, cyclic_words
 
 
 DENSITY_NAMES = (
@@ -240,16 +236,6 @@ def test_bad_run_parameters_rejected(call):
 def test_word_frequency_rejects_bad_words(w):
     with pytest.raises(BadWord):
         word_frequency_trajectory(w, 131, 8, 2, seed=0)
-
-
-@settings(max_examples=400)
-@given(cyclic_words, st.data())
-def test_int_occurrence_count_matches_string_count(bits, data):
-    width = len(bits)
-    w = data.draw(st.text("01", min_size=1, max_size=width))
-    doubled = bits + bits
-    expected = sum(doubled[i : i + len(w)] == w for i in range(width))
-    assert _occurrence_counter(w, width)(_pack(bits)) == expected
 
 
 @pytest.mark.parametrize("width, steps, seed", [(64, 30, 0), (131, 64, 7), (97, 40, 2**64 - 1)])

@@ -27,7 +27,7 @@ from kinklab import (
     step_word_scalar,
     two_kink_preimage,
 )
-from kinklab.density import _step
+from kinklab.density import _occurrence_counter, _step
 from kinklab.dynamics import words
 from kinklab.kinks import cyclic_kink_counter
 from kinklab.oracles import _kink_counts
@@ -96,6 +96,19 @@ cyclic_words = st.one_of(
 )
 
 
+def _occurrences(case: tuple[str, str]) -> int:
+    """Cyclic occurrences of w in bits, by string comparison on the doubled word."""
+    bits, w = case
+    doubled = bits + bits
+    return sum(doubled[i : i + len(w)] == w for i in range(len(bits)))
+
+
+# a cyclic configuration and a word of length 1 to its width
+occurrence_cases = cyclic_words.flatmap(
+    lambda bits: st.tuples(st.just(bits), st.text("01", min_size=1, max_size=len(bits)))
+)
+
+
 def _two_kink_preimage_targets() -> list[str]:
     """Every 11 v 11 with |v| <= 7 in two_kink_preimage's domain: two kinks, an
     even number of 1s in v and only odd zero-runs in v."""
@@ -151,6 +164,13 @@ CASES = {
         lambda bits: step_cyclic(CyclicConfig(bits)).bits,
         [],
         cyclic_words,
+        400,
+    ),
+    "occurrence_counter": Case(
+        lambda c: _occurrence_counter(c[1], len(c[0]))(_pack(c[0])),
+        _occurrences,
+        [],
+        occurrence_cases,
         400,
     ),
     "is_right_unstable": Case(

@@ -127,6 +127,62 @@ def test_flipflop_violation_partner_to_the_right():
     assert oracles.flipflop_violation("10011", "11011", 1, shift=2) == "0011001"
 
 
+def _no_double_zero_words_strings(max_len):
+    """The string generator that the packed _no_double_zero_words replaced,
+    kept as its reference."""
+    frontier = [""]
+    while frontier:
+        w = frontier.pop()
+        yield w
+        if len(w) < max_len:
+            frontier.append(w + "1")
+            if not w.endswith("0"):
+                frontier.append(w + "0")
+
+
+@pytest.mark.parametrize("max_len", range(15))
+def test_no_double_zero_words_packed_matches_strings(max_len):
+    assert list(oracles._no_double_zero_words(max_len)) == [
+        (len(w), int(w or "0", 2)) for w in _no_double_zero_words_strings(max_len)
+    ]
+
+
+@pytest.mark.parametrize("max_len", range(6))
+def test_kink_elimination_parity_needs_six_cells(max_len):
+    # no 001 w 100 fits in fewer than 6 cells, so the check would Pass vacuously
+    with pytest.raises(ValueError, match="max_len must be at least 6"):
+        oracles.verify_kink_elimination_parity(max_len)
+
+
+def test_kink_elimination_parity_failure_reports(monkeypatch):
+    # witness and detail texts as the string implementation reported them
+    real_step = oracles.dynamics.step_packed
+    # cells outside step_word's window are ignored, as step_word ignores them
+    monkeypatch.setattr(
+        oracles.dynamics, "step_packed", lambda x: real_step(x) | 1 << x.bit_length() + 2 | 3
+    )
+    assert oracles.verify_kink_elimination_parity(16).status is OracleStatus.PASS
+    monkeypatch.setattr(
+        oracles.dynamics, "step_packed",
+        lambda x: real_step(x) ^ (8 if x.bit_count() > 5 else 0),
+    )
+    r = oracles.verify_kink_elimination_parity(16)
+    assert (r.status, r.witness, r.detail) == (
+        OracleStatus.FAIL, "00101010101100",
+        "step(00101010101100) = 100000000011, expected 100000000001",
+    )
+    monkeypatch.setattr(oracles.dynamics, "step_packed", real_step)
+    real_count = oracles.kinks.count_kinks_packed
+    monkeypatch.setattr(
+        oracles.kinks, "count_kinks_packed", lambda x: real_count(x) + (x.bit_count() == 5)
+    )
+    r = oracles.verify_kink_elimination_parity(16)
+    assert (r.status, r.witness, r.detail) == (
+        OracleStatus.FAIL, "001010101100",
+        "kink parity of input does not match image gap parity",
+    )
+
+
 def test_annihilation_budget_exhaustion_is_reported():
     report = oracles.verify_annihilation(max_support=6, max_steps=1)
     assert report.status is OracleStatus.BUDGET_EXHAUSTED
@@ -167,10 +223,15 @@ def _two_kink_words_shaped_template(prefix, suffix, length):
 
 @pytest.mark.parametrize(
     "prefix, suffix",
-    [("1100", "1001"), ("1100", "0011"), ("11", "1"), ("101", "0101"), ("1", "111")],
+    [
+        ("1100", "1001"), ("1100", "0011"), ("11", "1"), ("101", "0101"), ("1", "111"),
+        ("111", "1"), ("1001", "11"),
+    ],
 )
 def test_two_kink_words_shaped_matches_template(prefix, suffix):
-    # ("1", "111") has a suffix longer than some lengths: nothing is yielded
+    # ("1", "111") has a suffix longer than some lengths: nothing is yielded;
+    # ("111", "1") and ("1001", "11") hold kinks in the prefix, so the cut on
+    # more than two kinks fires at the first or second middle cell
     for length in range(16):
         assert list(oracles._two_kink_words_shaped(prefix, suffix, length)) == list(
             _two_kink_words_shaped_template(prefix, suffix, length)
@@ -183,6 +244,20 @@ def test_full_profile_json_digest():
     text = "".join(r.to_json() + "\n" for r in run_all("full"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d4f22a7e2ad76fd363a5ee828d265acc585285fe56fa9ac5350fe595bfd81d26"
+    )
+
+
+def test_benchmark_budget_json_digest():
+    # the two pruned enumerations at the budgets of the perfbench oracles workload
+    text = "".join(
+        r.to_json() + "\n"
+        for r in (
+            oracles.verify_kink_elimination_parity(24),
+            oracles.verify_two_kink_backward(8, 21),
+        )
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5eb91d1f42ab8308f9ca7dcabdfa8a014ea8700577084706ea1624986ecd4676"
     )
 
 
