@@ -66,23 +66,28 @@ def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise KinklabError("steps must be non-negative")
     if args.word is not None:
-        diagram = dynamics.spacetime_word(args.word, args.steps, args.rule)
-        final = diagram.rows[-1]
+        x = dynamics.check_word(args.word)
+        step, spacetime = dynamics.step_word, dynamics.spacetime_word
     elif args.cyclic is not None:
-        diagram = dynamics.spacetime_cyclic(
-            CyclicConfig(args.cyclic), args.steps, args.rule
-        )
-        final = diagram.rows[-1]
+        x = CyclicConfig(args.cyclic)
+        step, spacetime = dynamics.step_cyclic, dynamics.spacetime_cyclic
     else:
-        diagram = dynamics.spacetime_support(
-            FiniteSupportConfig(args.support, args.offset), args.steps, args.rule
-        )
-        cfg = FiniteSupportConfig(diagram.rows[-1], diagram.left)
-        final = f"{cfg.support or '(empty)'} @ {cfg.offset}"
+        x = FiniteSupportConfig(args.support, args.offset)
+        step, spacetime = dynamics.step_support, dynamics.spacetime_support
     if args.render:
+        # the final configuration is the diagram's last row, not a second run
+        diagram = spacetime(x, args.steps, args.rule)
         sys.stdout.buffer.write(dynamics.render_spacetime(diagram, args.render))
         sys.stdout.buffer.flush()
-    print(final)
+        last = diagram.rows[-1]
+        x = type(x)(last) if args.support is None else FiniteSupportConfig(last, diagram.left)
+    else:
+        for _ in range(args.steps):
+            x = step(x, args.rule)
+    if args.support is not None:
+        print(f"{x.support or '(empty)'} @ {x.offset}")
+    else:
+        print(x if args.word is not None else x.bits)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Any, Callable
 
 from . import dynamics, kinks, preimage, wordclasses
@@ -132,43 +133,45 @@ def verify_kink_elimination_parity(max_len: int = 16) -> OracleReport:
     return _ok("kink_elimination_parity", budget)
 
 
-def _kink_counts(x: int):
-    """Kink count of the packed configuration x, then of each of its images."""
-    while True:
-        yield kinks.count_kinks_packed(x)
-        x = dynamics.step_packed(x)
-
-
 def verify_annihilation(max_support: int = 12, max_steps: int = 4096) -> OracleReport:
     """Every finite-support configuration reaches at most one kink, with the
-    surviving parity equal to the initial parity and no kink ever created."""
+    surviving parity equal to the initial parity and no kink ever created.
+    ``finished`` maps each configuration on a completed walk (packed: a step
+    keeps the right end at bit 0, so translates share a key) to 2 * (steps
+    left) + (final count); a walk reaching one takes that tail if it fits."""
     budget = _budget(max_support=max_support, max_steps=max_steps)
-    supports = [""] + ["1"] * (max_support >= 1) + [
-        "1" + m + "1" for n in range(max_support - 1) for m in words(n)
-    ]
+    supports = chain((0, 1)[: max_support + 1], (
+        1 << n + 1 | m << 1 | 1 for n in range(max_support - 1) for m in range(1 << n)
+    ))
+    finished: dict[int, int] = {}
     for s in supports:
-        counts = _kink_counts(int(s, 2) if s else 0)
-        m = next(counts)
+        path, x, m = [], s, kinks.count_kinks_packed(s)
         parity = m % 2
-        steps = 0
-        while m > 1:
-            if steps >= max_steps:
+        while True:
+            tail = m if m <= 1 else finished.get(x)
+            if tail is not None and len(path) + (tail >> 1) <= max_steps:
+                break
+            if len(path) >= max_steps:
                 return OracleReport(
-                    "annihilation", OracleStatus.BUDGET_EXHAUSTED, budget, s,
-                    f"still {m} kinks after {max_steps} steps",
+                    "annihilation", OracleStatus.BUDGET_EXHAUSTED, budget,
+                    f"{s:b}" if s else "", f"still {m} kinks after {max_steps} steps",
                 )
-            before, m = m, next(counts)
-            steps += 1
+            path.append(x)
+            x = dynamics.step_packed(x)
+            before, m = m, kinks.count_kinks_packed(x)
             if m > before:
                 return _fail(
-                    "annihilation", budget, s,
-                    f"kink count rose from {before} to {m} at step {steps}",
+                    "annihilation", budget, f"{s:b}" if s else "",
+                    f"kink count rose from {before} to {m} at step {len(path)}",
                 )
-        if m % 2 != parity:
+        if tail & 1 != parity:
             return _fail(
-                "annihilation", budget, s,
-                f"kink parity flipped after {steps} steps",
+                "annihilation", budget, f"{s:b}" if s else "",
+                f"kink parity flipped after {len(path) + (tail >> 1)} steps",
             )
+        finished[x] = tail
+        for i, y in enumerate(reversed(path), 1):
+            finished[y] = tail + 2 * i
     return _ok("annihilation", budget)
 
 
@@ -301,35 +304,40 @@ def _shaped(w: str, prefix: str, suffix: str) -> bool:
     return w.startswith(prefix) and w.endswith(suffix) and kinks.count_kinks(w) == 2
 
 
-def _two_kink_words_shaped(prefix: str, suffix: str, length: int):
-    """Two-kink words of the given length with the given boundary shape, in
-    lexicographic order; the prefix and suffix may overlap.  Depth-first over
-    the middle cells, "1" pushed before "0", cutting a branch once it holds
-    more than two kinks: every kink of a prefix is a kink of the whole word."""
-    head = length - len(suffix)
-    if head < 0:
-        return
-    stack = [prefix]
+def _two_kink_words_shaped(prefix: str, suffix: str, max_length: int) -> list[list[str]]:
+    """Two-kink words with the given boundary shape by length up to max_length,
+    each length in lexicographic order.  One depth-first walk over packed heads
+    serves every length (n cells: length n + |suffix|), "1" pushed before "0",
+    cut once a head holds more than two kinks, since a head's kinks are the
+    word's; the lengths where prefix and suffix overlap are tested on strings."""
+    ls, end = len(suffix), int(suffix or "0", 2)
+    groups: list[list[str]] = [[] for _ in range(max_length + 1)]
+    for w in [prefix[:head] + suffix for head in range(min(len(prefix), max_length - ls + 1))]:
+        if _shaped(w, prefix, suffix):
+            groups[len(w)].append(w)
+    stack = [(len(prefix), int(prefix or "0", 2))] if len(prefix) + ls <= max_length else []
     while stack:
-        w = stack.pop()
-        if len(w) < head:
-            stack += [v for v in (w + "1", w + "0") if kinks.count_kinks(v) <= 2]
-        elif _shaped(w[:head] + suffix, prefix, suffix):
-            yield w[:head] + suffix
+        n, w = stack.pop()
+        if kinks.count_kinks_packed(w << ls | end) == 2:
+            groups[n + ls].append(f"{w << ls | end:0{n + ls}b}")
+        if n + ls < max_length:
+            children = (w << 1 | 1, w << 1)
+            stack += [(n + 1, v) for v in children if kinks.count_kinks_packed(v) <= 2]
+    return groups
 
 
 def _backward_survivors(
-    length: int,
+    candidates: list[str],
     prefix: str,
     suffix: str,
     step_back: Callable[[str], str],
 ) -> set[str]:
-    """Iterate the forced-preimage map `length` times, keeping only words that
-    stay two-kink words of the given boundary shape throughout."""
+    """Iterate the forced-preimage map |w| times from each candidate w, keeping
+    only words that stay two-kink words of the given boundary shape throughout."""
     survivors = set()
-    for w in _two_kink_words_shaped(prefix, suffix, length):
+    for w in candidates:
         cur = w
-        for _ in range(length):
+        for _ in range(len(w)):
             cur = step_back(cur)
             if not _shaped(cur, prefix, suffix):
                 break
@@ -364,8 +372,9 @@ def verify_two_kink_backward(max_m: int = 4, max_back_len: int = 17) -> OracleRe
          7, lambda j: "11000" + "101000" * j + "11"),
     )
     for shape, first, suffix, step_back, base, survivor in shapes:
+        candidates = _two_kink_words_shaped("1100", suffix, max_back_len)
         for length in range(first, max_back_len + 1):
-            survivors = _backward_survivors(length, "1100", suffix, step_back)
+            survivors = _backward_survivors(candidates[length], "1100", suffix, step_back)
             j, r = divmod(length - base, 6)
             expected = {survivor(j)} if r == 0 else set()
             if survivors != expected:

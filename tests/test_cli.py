@@ -70,6 +70,22 @@ def test_simulate_support_steps_once(capsys, monkeypatch, render):
 @pytest.mark.parametrize(
     "argv, expected",
     [
+        (["--word", "0010101100101", "--steps", "3"], "1001011\n"),
+        (["--cyclic", "1001", "--steps", "3"], "0110\n"),
+        (["--support", "1101", "--steps", "4", "--offset", "7"], "101010010101 @ 3\n"),
+    ],
+)
+def test_simulate_without_render_builds_no_diagram(capsys, monkeypatch, argv, expected):
+    # a diagram costs a row per step; only --render prints one
+    for name in ("spacetime_word", "spacetime_cyclic", "spacetime_support"):
+        monkeypatch.setattr(dynamics, name, lambda *a: pytest.fail(f"built a diagram: {a}"))
+    code, out, _ = run(capsys, "simulate", *argv)
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
         (["0", "--steps", "3"], "(empty) @ 0\n"),
         (["1", "--steps", "0"], "1 @ 0\n"),
         (["111", "--steps", "2", "--rule", "r90"], "1110111 @ -2\n"),

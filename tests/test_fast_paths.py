@@ -30,7 +30,6 @@ from kinklab import (
 from kinklab.density import _occurrence_counter, _step
 from kinklab.dynamics import words
 from kinklab.kinks import cyclic_kink_counter
-from kinklab.oracles import _kink_counts
 from kinklab.wordclasses import is_right_unstable
 
 RIGHT_UNSTABLE_RE = re.compile(r"[01]*11(01)*0?")
@@ -65,7 +64,12 @@ def _step_scalar_as_support(s: str) -> tuple[str, int]:
 
 
 def _annihilation_steps_packed(s: str) -> int:
-    return next(t for t, m in enumerate(_kink_counts(_packed(s))) if m <= 1)
+    """Steps to at most one kink, taken as verify_annihilation takes each of
+    its steps: step_packed, then count_kinks_packed."""
+    x, steps = _packed(s), 0
+    while count_kinks_packed(x) > 1:
+        x, steps = step_packed(x), steps + 1
+    return steps
 
 
 def _annihilation_steps_reference(s: str) -> int:

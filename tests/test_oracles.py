@@ -90,8 +90,8 @@ def test_two_kink_backward_failure_reports(monkeypatch):
         ("1001", "shape-A survivors at length 5 differ from ['11001']"),
         ("0011", "shape-B survivors at length 7 differ from ['1100011']"),
     ]:
-        def survivors(length, prefix, suffix, step_back, lost=lost):
-            return set() if suffix == lost else real(length, prefix, suffix, step_back)
+        def survivors(candidates, prefix, suffix, step_back, lost=lost):
+            return set() if suffix == lost else real(candidates, prefix, suffix, step_back)
 
         monkeypatch.setattr(oracles, "_backward_survivors", survivors)
         r = oracles.verify_two_kink_backward(0, 13)
@@ -184,8 +184,11 @@ def test_kink_elimination_parity_failure_reports(monkeypatch):
 
 
 def test_annihilation_budget_exhaustion_is_reported():
+    # witness and detail as the plain per-support walk reported them
     report = oracles.verify_annihilation(max_support=6, max_steps=1)
-    assert report.status is OracleStatus.BUDGET_EXHAUSTED
+    assert (report.status, report.witness, report.detail) == (
+        OracleStatus.BUDGET_EXHAUSTED, "10011", "still 2 kinks after 1 steps",
+    )
 
 
 def test_annihilation_fails_when_a_step_creates_a_kink(monkeypatch):
@@ -196,6 +199,80 @@ def test_annihilation_fails_when_a_step_creates_a_kink(monkeypatch):
     assert report.status is OracleStatus.FAIL
     assert report.witness == "111"
     assert report.detail == "kink count rose from 2 to 3 at step 1"
+
+
+def _annihilation_plain(max_support, max_steps):
+    """The per-support walk that verify_annihilation's deduplicated walk
+    replaced, kept as its reference: every support is stepped from scratch."""
+    budget = {"max_support": max_support, "max_steps": max_steps}
+    supports = [""] + ["1"] * (max_support >= 1) + [
+        "1" + m + "1" for n in range(max_support - 1) for m in words(n)
+    ]
+    for s in supports:
+        x = int(s, 2) if s else 0
+        m = oracles.kinks.count_kinks_packed(x)
+        parity = m % 2
+        steps = 0
+        while m > 1:
+            if steps >= max_steps:
+                return oracles.OracleReport(
+                    "annihilation", OracleStatus.BUDGET_EXHAUSTED, budget, s,
+                    f"still {m} kinks after {max_steps} steps",
+                )
+            x = oracles.dynamics.step_packed(x)
+            before, m = m, oracles.kinks.count_kinks_packed(x)
+            steps += 1
+            if m > before:
+                return oracles._fail(
+                    "annihilation", budget, s,
+                    f"kink count rose from {before} to {m} at step {steps}",
+                )
+        if m % 2 != parity:
+            return oracles._fail(
+                "annihilation", budget, s, f"kink parity flipped after {steps} steps"
+            )
+    return oracles._ok("annihilation", budget)
+
+
+@pytest.mark.parametrize("max_support", range(12))
+def test_annihilation_matches_plain_walk(max_support):
+    # a stored tail is taken only when it fits the step budget, so every
+    # budget reports what the plain walk reports, exhaustion texts included
+    for max_steps in (0, 1, 2, 3, 4, 5, 8, 13, 21, 34, 4096):
+        assert oracles.verify_annihilation(max_support, max_steps).to_json() == (
+            _annihilation_plain(max_support, max_steps).to_json()
+        ), max_steps
+
+
+def test_annihilation_faults_match_plain_walk(monkeypatch):
+    # a rising step is caught on a stepped transition
+    monkeypatch.setattr(oracles.dynamics, "step_packed", lambda x: x << 1 | 1)
+    assert oracles.verify_annihilation(4).to_json() == _annihilation_plain(4, 4096).to_json()
+    monkeypatch.undo()
+    # a wrong parity on 1001011 (2 kinks read as 3), whose first image lies
+    # on an earlier walk: the flipped parity is read off the stored tail
+    real_count, real_step = oracles.kinks.count_kinks_packed, oracles.dynamics.step_packed
+    stepped = []
+    monkeypatch.setattr(
+        oracles.kinks, "count_kinks_packed", lambda x: real_count(x) + (x == 0b1001011)
+    )
+    monkeypatch.setattr(
+        oracles.dynamics, "step_packed", lambda x: stepped.append(x) or real_step(x)
+    )
+    report = oracles.verify_annihilation(9)
+    assert stepped[-1] == 0b1001011  # one step, then the tail of 6
+    assert (report.status, report.witness, report.detail) == (
+        OracleStatus.FAIL, "1001011", "kink parity flipped after 7 steps",
+    )
+    assert report.to_json() == _annihilation_plain(9, 4096).to_json()
+    # a wrong parity on 1011000001, which two walks pass through: the plain
+    # walk compares only first and final counts, so the stored tail must too
+    monkeypatch.setattr(
+        oracles.kinks, "count_kinks_packed", lambda x: real_count(x) + (x == 0b1011000001)
+    )
+    report = oracles.verify_annihilation(9)
+    assert report.status is OracleStatus.PASS
+    assert report.to_json() == _annihilation_plain(9, 4096).to_json()
 
 
 def _two_kink_words_shaped_template(prefix, suffix, length):
@@ -232,10 +309,26 @@ def test_two_kink_words_shaped_matches_template(prefix, suffix):
     # ("1", "111") has a suffix longer than some lengths: nothing is yielded;
     # ("111", "1") and ("1001", "11") hold kinks in the prefix, so the cut on
     # more than two kinks fires at the first or second middle cell
-    for length in range(16):
-        assert list(oracles._two_kink_words_shaped(prefix, suffix, length)) == list(
-            _two_kink_words_shaped_template(prefix, suffix, length)
-        ), length
+    groups = oracles._two_kink_words_shaped(prefix, suffix, 15)
+    assert len(groups) == 16
+    for length, group in enumerate(groups):
+        assert group == list(_two_kink_words_shaped_template(prefix, suffix, length)), length
+
+
+def test_two_kink_backward_candidates_at_benchmark_budget():
+    # the candidates verify_two_kink_backward(max_back_len=21) steps back,
+    # shape A from length 5 and shape B from length 6, as the per-length
+    # walks generated them
+    candidates = [
+        w
+        for suffix, first in (("1001", 5), ("0011", 6))
+        for group in oracles._two_kink_words_shaped("1100", suffix, 21)[first:]
+        for w in group
+    ]
+    assert len(candidates) == 256
+    assert hashlib.sha256("".join(w + "\n" for w in candidates).encode()).hexdigest() == (
+        "34492b1a0ded388c10e298fba841809295a959173888c3251769b0837486ba61"
+    )
 
 
 def test_full_profile_json_digest():
