@@ -1,73 +1,56 @@
-"""kinklab: a verification lab for the kink dynamics of cellular automaton rule 18."""
+"""kinklab: a verification lab for the kink dynamics of cellular automaton rule 18.
 
-__version__ = "0.1.0"  # set before the submodule imports; density records it
+Every submodule, and every name below, is imported on first use (PEP 562), so a
+command loads only the modules it runs; only ``density`` needs numpy.
+"""
+
+__version__ = "0.1.0"
 
 from importlib import import_module as _import_module
 
-from .dynamics import (
-    R18,
-    R90,
-    CyclicConfig,
-    FiniteSupportConfig,
-    Geometry,
-    SpacetimeDiagram,
-    iterate_word,
-    render_spacetime,
-    rule18_local,
-    step_cyclic,
-    step_packed,
-    step_support,
-    step_word,
-    step_word_scalar,
-)
-from .kinks import (
-    KinkOccurrence,
-    TwoKinkDecomposition,
-    count_kinks,
-    count_kinks_cyclic,
-    count_kinks_packed,
-    find_kinks,
-    two_kink_decompose,
-)
-from .wordclasses import (
-    StabilityClass,
-    classify_stability,
-    in_B,
-    in_P,
-    is_left_kink_word,
-    is_stable,
-    reverse,
-)
-from .preimage import (
-    ExtensionFamily,
-    PreimageSet,
-    check_stable_extension,
-    enumerate_extensions,
-    preimage_depth,
-    preimages,
-    two_kink_preimage,
-    unique_lift,
-)
-from .oracles import OracleReport, OracleStatus, run_all
+# submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "cli": (),
+    "density": (
+        "DensitySeries", "PowerLawFit", "density_trajectory", "fit_power_law",
+        "sample_uniform", "word_frequency_trajectory",
+    ),
+    "dynamics": (
+        "R18", "R90", "CyclicConfig", "FiniteSupportConfig", "Geometry",
+        "SpacetimeDiagram", "iterate_word", "render_spacetime", "rule18_local",
+        "step_cyclic", "step_packed", "step_support", "step_word", "step_word_scalar",
+    ),
+    "errors": (),
+    "kinks": (
+        "KinkOccurrence", "TwoKinkDecomposition", "count_kinks", "count_kinks_cyclic",
+        "count_kinks_packed", "find_kinks", "two_kink_decompose",
+    ),
+    "oracles": ("OracleReport", "OracleStatus", "run_all"),
+    "preimage": (
+        "ExtensionFamily", "PreimageSet", "check_stable_extension",
+        "enumerate_extensions", "preimage_depth", "preimages", "two_kink_preimage",
+        "unique_lift",
+    ),
+    "wordclasses": (
+        "StabilityClass", "classify_stability", "in_B", "in_P", "is_left_kink_word",
+        "is_stable", "reverse",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The density lab is the only module that needs numpy, so it is imported on
-# first use of one of its names (PEP 562): every other command starts without it.
-_DENSITY_NAMES = frozenset({
-    "DensitySeries",
-    "PowerLawFit",
-    "density_trajectory",
-    "fit_power_law",
-    "sample_uniform",
-    "word_frequency_trajectory",
-})
+# the star import leaves out the CLI and the density lab, so it needs no numpy
+__all__ = sorted({*_EXPORTS, *_ORIGIN} - {"cli", "density", *_EXPORTS["density"]})
 
 
 def __getattr__(name: str):
-    if name == "density" or name in _DENSITY_NAMES:
-        density = _import_module(".density", __name__)
-        return density if name == "density" else getattr(density, name)
+    if name in _EXPORTS:  # the import binds the submodule as a package attribute
+        return _import_module(f".{name}", __name__)
+    if name in _ORIGIN:
+        module = _import_module(f".{_ORIGIN[name]}", __name__)
+        globals()[name] = value = getattr(module, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), "density", *_DENSITY_NAMES})
+    return sorted({*globals(), *_EXPORTS, *_ORIGIN})

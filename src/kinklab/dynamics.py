@@ -211,7 +211,9 @@ def spacetime_support(
         left = min(c.offset for c in nonempty)
         right = max(c.offset + len(c.support) for c in nonempty)
     rows = tuple(
-        "".join(str(c.symbol(i)) for i in range(left, right)) for c in configs
+        "0" * (c.offset - left) + c.support + "0" * (right - c.offset - len(c.support))
+        if c.support else "0" * (right - left)
+        for c in configs
     )
     return SpacetimeDiagram(rows, Geometry.PADDED_SUPPORT, left)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -162,6 +163,27 @@ def test_verify_quick(capsys):
         assert json.loads(line)["status"] == "Pass"
 
 
+@pytest.mark.parametrize(
+    "profile, digest",
+    [
+        ("quick", "131f2b0747d7f75906a5cae6bc6c4cae6cb861e441d5e3052386a125aeb16b9e"),
+        ("full", "d4f22a7e2ad76fd363a5ee828d265acc585285fe56fa9ac5350fe595bfd81d26"),
+    ],
+)
+def test_verify_stdout_digest(capsys, profile, digest):
+    # the full digest is test_full_profile_json_digest's: stdout is the report lines
+    code, out, _ = run(capsys, "verify", "--profile", profile)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_unknown_profile_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--profile", "nope")
+    assert code == 2
+    assert out == ""
+    assert "'full'" in err and "'quick'" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from kinklab import oracles
 
@@ -231,19 +253,90 @@ def test_density_bad_run_parameters_exit_2(capsys, tmp_path, flags):
     assert not (tmp_path / "run.csv").exists()
 
 
-def run_fresh(*argv, **kwargs):
-    """Run main(argv) in a new interpreter; its last stderr line tells whether
-    numpy was imported."""
-    script = (
-        f"import sys\nfrom kinklab.cli import main\nrc = main({list(argv)!r})\n"
-        "sys.stdout.flush()\nprint('numpy' in sys.modules, file=sys.stderr)\n"
-        "sys.exit(rc)\n"
-    )
+def run_python(script, **kwargs):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), timeout=60, **kwargs,
     )
+
+
+REPORT_IMPORTS = (
+    "sys.stdout.flush()\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kinklab.'))),"
+    " file=sys.stderr)\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+def run_fresh(*argv, **kwargs):
+    """Run main(argv) in a new interpreter; its last stderr line tells whether
+    numpy was imported, the line before lists the kinklab submodules loaded."""
+    script = (
+        f"import json, sys\nfrom kinklab.cli import main\nrc = main({list(argv)!r})\n"
+        f"{REPORT_IMPORTS}sys.exit(rc)\n"
+    )
+    return run_python(script, **kwargs)
+
+
+def loaded_submodules(proc):
+    return {m.removeprefix("kinklab.") for m in json.loads(proc.stderr.splitlines()[-2])}
+
+
+def test_import_kinklab_loads_no_submodule():
+    proc = run_python(f"import json, sys\nimport kinklab\n{REPORT_IMPORTS}")
+    assert proc.returncode == 0, proc.stderr
+    assert loaded_submodules(proc) == set()
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+# what `from kinklab import *` bound before the package loaded its submodules
+# lazily: every public name and submodule but the CLI and the density lab
+STAR_NAMES = [
+    "CyclicConfig", "ExtensionFamily", "FiniteSupportConfig", "Geometry",
+    "KinkOccurrence", "OracleReport", "OracleStatus", "PreimageSet", "R18", "R90",
+    "SpacetimeDiagram", "StabilityClass", "TwoKinkDecomposition",
+    "check_stable_extension", "classify_stability", "count_kinks",
+    "count_kinks_cyclic", "count_kinks_packed", "dynamics", "enumerate_extensions",
+    "errors", "find_kinks", "in_B", "in_P", "is_left_kink_word", "is_stable",
+    "iterate_word", "kinks", "oracles", "preimage", "preimage_depth", "preimages",
+    "render_spacetime", "reverse", "rule18_local", "run_all", "step_cyclic",
+    "step_packed", "step_support", "step_word", "step_word_scalar",
+    "two_kink_decompose", "two_kink_preimage", "unique_lift", "wordclasses",
+]
+
+
+def test_star_import_binds_the_public_names_without_numpy():
+    proc = run_python(
+        "import json, sys\nns = {}\nexec('from kinklab import *', ns)\n"
+        "print(json.dumps(sorted(set(ns) - {'__builtins__'})))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    names, numpy_loaded = proc.stdout.splitlines()
+    assert json.loads(names) == STAR_NAMES
+    assert numpy_loaded == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, not_loaded",
+    [
+        (("simulate", "--support", "1", "--steps", "3", "--render", "ascii"),
+         {"kinks", "wordclasses", "preimage", "oracles", "density"}),
+        (("classify", "1101001"), {"preimage", "oracles"}),
+        (("preimage", "11", "--depth", "2"), {"oracles"}),
+        (("verify", "--profile", "quick"), {"density"}),
+        (("density", "--width", "131", "--steps", "8", "--trials", "1"),
+         {"oracles", "preimage"}),
+    ],
+    ids=["simulate", "classify", "preimage", "verify", "density"],
+)
+def test_commands_import_only_what_they_run(tmp_path, argv, not_loaded):
+    proc = run_fresh(*argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = loaded_submodules(proc)
+    assert "cli" in loaded
+    assert not loaded & not_loaded, loaded & not_loaded
 
 
 @pytest.mark.parametrize(

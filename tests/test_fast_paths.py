@@ -16,6 +16,7 @@ from kinklab import (
     R18,
     R90,
     CyclicConfig,
+    FiniteSupportConfig,
     count_kinks,
     count_kinks_cyclic,
     count_kinks_packed,
@@ -23,12 +24,13 @@ from kinklab import (
     preimages,
     step_cyclic,
     step_packed,
+    step_support,
     step_word,
     step_word_scalar,
     two_kink_preimage,
 )
 from kinklab.density import _occurrence_counter, _step
-from kinklab.dynamics import words
+from kinklab.dynamics import spacetime_support, words
 from kinklab.kinks import cyclic_kink_counter
 from kinklab.wordclasses import is_right_unstable
 
@@ -78,6 +80,25 @@ def _annihilation_steps_reference(s: str) -> int:
         s = _step_scalar_as_support(s)[0]
         steps += 1
     return steps
+
+
+def _spacetime_support(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...], int]:
+    support, offset, steps, rule = case
+    d = spacetime_support(FiniteSupportConfig(support, offset), steps, rule)
+    return d.rows, d.left
+
+
+def _spacetime_support_per_cell(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...], int]:
+    """Each row read cell by cell with FiniteSupportConfig.symbol over the
+    window from the leftmost to the rightmost live cell of the run."""
+    support, offset, steps, rule = case
+    configs = [FiniteSupportConfig(support, offset)]
+    for _ in range(steps):
+        configs.append(step_support(configs[-1], rule))
+    live = [i for c in configs for i in range(c.offset, c.offset + len(c.support))]
+    left, right = (min(live), max(live) + 1) if live else (0, 1)
+    rows = tuple("".join(str(c.symbol(i)) for i in range(left, right)) for c in configs)
+    return rows, left
 
 
 def _pack(bits: str) -> int:
@@ -176,6 +197,15 @@ CASES = {
         [],
         occurrence_cases,
         400,
+    ),
+    "spacetime_support": Case(
+        _spacetime_support,
+        _spacetime_support_per_cell,
+        [("", 0, 3, R18), ("000", 5, 2, R90), ("1", 0, 0, R18), ("1", -3, 5, R90)],
+        st.tuples(
+            st.text(alphabet="01", max_size=24), st.integers(-40, 40),
+            st.integers(0, 16), st.sampled_from([R18, R90]),
+        ),
     ),
     "is_right_unstable": Case(
         is_right_unstable,
