@@ -121,8 +121,8 @@ def _cmd_preimage(args) -> int:
     from . import preimage
 
     w = dynamics.check_word(args.word)
-    if args.depth < 1:
-        raise KinklabError("depth must be >= 1")
+    if not 1 <= args.depth <= preimage.MAX_DEPTH:
+        raise KinklabError(f"depth must be between 1 and {preimage.MAX_DEPTH}, got {args.depth}")
     count = preimage.count_preimages(w)
     if count > MAX_PREIMAGES:
         raise KinklabError(

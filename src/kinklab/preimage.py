@@ -1,21 +1,22 @@
 """Preimage enumeration under rule 18 and kink-preserving extension families.
 
-A preimage u of w is a walk through 2-bit overlap states: the state at layer i
-is (u[i], u[i+1]), and the move to (u[i+1], u[i+2]) emits rule18 of the three
-cells, which must equal w[i].  The moves form a fixed transition table, built
-once; a right-to-left pass over its backward closure gives, per layer, the mask
-of states that can still complete w, and enumeration walks only those states
-(the transfer-matrix view of Jen 1989).  Extension families are honest finite
-truncations with explicit pad bounds.
+A u with f^d(u) = w is a walk through 2d-cell overlap states: each move appends
+one cell and emits the (2d+1)-cell window stepped d times, which must equal the
+next bit of w.  A right-to-left pass over the backward closure of the moves
+gives, per layer, the mask of states that can still complete w, and enumeration
+walks only those states (the transfer-matrix view of Jen 1989); the automaton
+is walked per word and never determinized.  Extension families are honest
+finite truncations with explicit pad bounds.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
-from . import dynamics, wordclasses
-from .dynamics import check_word, padded, step_word, words
+from . import wordclasses
+from .dynamics import check_word, padded, step_packed, step_word
 from .errors import (
     BadShape,
     ExcludedForm,
@@ -28,6 +29,7 @@ from .errors import (
 from .kinks import count_kinks
 
 MAX_PAD = 8
+MAX_DEPTH = 10
 
 _EXCLUDED_FORM_RE = re.compile(r"0?(10)*1?")
 
@@ -44,29 +46,19 @@ class PreimageSet:
         return len(self.members)
 
 
-def _moves(t: int) -> tuple[tuple[tuple[str, int], ...], ...]:
-    """Per overlap state s = (x, y): the (c, (y, c)) moves with rule18(x, y, c) = t,
-    c = "1" first so that a stack walk pops "0" first."""
-    return tuple(
-        tuple(
-            (str(c), (s & 1) << 1 | c)
-            for c in (1, 0)
-            if dynamics.rule18_local(s >> 1, s & 1, c) == t
-        )
-        for s in range(4)
-    )
+@cache
+def _automaton(d: int) -> tuple[dict[str, int], dict[str, dict[int, int]]]:
+    """Rule 18 stepped d times, over the 4^d overlaps of 2d cells: the
+    (2d+1)-cell window x moves from state x >> 1 to its last 2d cells.
 
-
-# The rule as a fixed automaton over 2-bit overlap states, keyed by emitted bit.
-_MOVES = {str(t): _moves(t) for t in (0, 1)}
-# _BACK[t][mask]: the states with a move emitting t into a state of mask.
-_BACK = {
-    t: tuple(
-        sum(1 << s for s in range(4) if any(mask >> ns & 1 for _, ns in moves[s]))
-        for mask in range(16)
-    )
-    for t, moves in _MOVES.items()
-}
+    windows[t]: the set of windows that emit t, as bits.  back[t][mask]: the
+    states with a move emitting t into a state of mask, filled by _reach_table
+    as masks occur and kept for the process, at most 2^24 bits of them per t."""
+    emits = "01"  # emits[x]: the bit window x emits, after 0 steps so far
+    for k in range(3, 2 * d + 2, 2):  # one more step: x steps onto k - 2 cells
+        emits = "".join(emits[step_packed(x) >> 2 & (1 << k - 2) - 1] for x in range(1 << k))
+    ones = int(emits[::-1], 2)
+    return {"0": ones ^ (1 << len(emits)) - 1, "1": ones}, {"0": {}, "1": {}}
 
 
 def _check_target(w: str) -> str:
@@ -76,39 +68,82 @@ def _check_target(w: str) -> str:
     return w
 
 
-def _reach_table(w: str) -> list[int]:
-    """reach[i] = mask of the overlap states at layer i that can complete w[i:]."""
-    reach = [15] * (len(w) + 1)
-    for i in range(len(w) - 1, -1, -1):
-        reach[i] = _BACK[w[i]][reach[i + 1]]
+def _reach_table(w: str, d: int = 1) -> list[int]:
+    """reach[i] = mask of the depth-d overlap states at layer i that can
+    complete w[i:]."""
+    n = 1 << 2 * d  # states
+    windows, back = _automaton(d)
+    reach = [r := (1 << n) - 1]
+    for t in reversed(_check_target(w)):
+        try:
+            r = back[t][r]
+        except KeyError:  # first use of r: x holds the windows that emit t and
+            # end in a state of r; state s owns windows 2s and 2s + 1, so its
+            # bit is an odd binary digit of x | x >> 1
+            x = (r | r << n) & windows[t]
+            prev, r = r, int(format(x | x >> 1, f"0{2 * n}b")[1::2], 2)
+            if len(back[t]) < 1 << 24 - 2 * d:  # each mask has 4^d bits
+                back[t][prev] = r
+        reach.append(r)
+    reach.reverse()
     return reach
 
 
-def preimages(w: str) -> PreimageSet:
-    """All u of length |w|+2 with step_word(u) = w, in lexicographic order."""
-    n = len(_check_target(w))
+@cache
+def _moves() -> dict[str, list[list[tuple[str, int]]]]:
+    """moves[t][s]: the (c, next state) moves of depth 1 from s that emit t;
+    moves[t + c] keeps those that append c."""
+    windows, _ = _automaton(1)
+    moves = {t + c: [[], [], [], []] for t in "01" for c in ("", "0", "1")}
+    for x in range(7, -1, -1):  # c = "1" first, so that a stack walk pops "0" first
+        t, c = str(windows["1"] >> x & 1), str(x & 1)
+        for key in (t, t + c):
+            moves[key][x >> 1].append((c, x & 3))
+    return moves
+
+
+def _walk(w: str, at: int = 0, pin: str = "") -> list[str]:
+    """Every u with step_word(u) = w and u[at : at + len(pin)] = pin, in
+    lexicographic order.  A branch ends at its first cell off pin, so the walk
+    takes at most 2^(|w| + 2 - len(pin)) branches."""
     reach = _reach_table(w)
+    moves = _moves()
+    # layer i's moves append cell i + 2; where it is pinned, only those that fit
+    layers = [
+        moves[t + pin[j] if 0 <= (j := i + 2 - at) < len(pin) else t] for i, t in enumerate(w)
+    ]
+    n = len(w)
     members: list[str] = []
-    stack = [(0, s, format(s, "02b")) for s in range(3, -1, -1) if reach[0] >> s & 1]
+    stack = [
+        (0, s, p)
+        for s in range(3, -1, -1)
+        if reach[0] >> s & 1 and pin.startswith((p := format(s, "02b"))[at : at + len(pin)])
+    ]
     while stack:  # depth first, smaller bits popped first: lexicographic
         i, s, prefix = stack.pop()
         if i == n:
             members.append(prefix)
             continue
-        for c, ns in _MOVES[w[i]][s]:
+        for c, ns in layers[i][s]:
             if reach[i + 1] >> ns & 1:
                 stack.append((i + 1, ns, prefix + c))
-    return PreimageSet(w, tuple(members))
+    return members
+
+
+def preimages(w: str) -> PreimageSet:
+    """All u of length |w|+2 with step_word(u) = w, in lexicographic order."""
+    return PreimageSet(w, tuple(_walk(w)))
 
 
 def count_preimages(w: str) -> int:
     """len(preimages(w)) without enumerating: per layer, the number of walks
     ending in each overlap state, in Python ints, O(|w|)."""
+    moves = _moves()
     counts = [1] * 4
     for t in _check_target(w):
         nxt = [0] * 4
-        for s, moves in enumerate(_MOVES[t]):
-            for _, ns in moves:
+        for s, ms in enumerate(moves[t]):
+            for _, ns in ms:
                 nxt[ns] += counts[s]
         counts = nxt
     return sum(counts)
@@ -116,19 +151,19 @@ def count_preimages(w: str) -> int:
 
 def has_preimage(w: str) -> bool:
     """Existence-only variant of preimages(), O(|w|)."""
-    return _reach_table(_check_target(w))[0] != 0
+    return _reach_table(w)[0] != 0
 
 
 def preimage_depth(w: str, d: int) -> bool:
-    """True iff a preimage chain of length d above w exists."""
-    if d < 0:
-        raise ValueError("depth must be non-negative")
-    frontier = {check_word(w)}
-    for _ in range(d):
-        frontier = {u for v in frontier for u in preimages(v).members}
-        if not frontier:
-            return False
-    return True
+    """True iff a preimage chain of length d above w exists, that is, some u
+    of length |w| + 2d steps d times onto w.  The first probe at depth d builds
+    the 4^d-state automaton, so d is at most MAX_DEPTH."""
+    if not 0 <= d <= MAX_DEPTH:
+        raise ValueError(f"depth must be between 0 and {MAX_DEPTH}, got {d}")
+    if d == 0:
+        check_word(w)
+        return True
+    return _reach_table(w, d)[0] != 0
 
 
 @dataclass(frozen=True)
@@ -141,14 +176,12 @@ class ExtensionFamily:
     members: frozenset[str]
 
 
-def enumerate_extensions(
-    w: str, left_pad: int, right_pad: int, max_pad: int = MAX_PAD
-) -> ExtensionFamily:
+def enumerate_extensions(w: str, left_pad: int, right_pad: int) -> ExtensionFamily:
     check_word(w)
     if left_pad < 0 or right_pad < 0:
         raise ValueError(f"pads must be non-negative, got {(left_pad, right_pad)}")
-    if left_pad > max_pad or right_pad > max_pad:
-        raise PadTooLarge(f"pads {(left_pad, right_pad)} exceed bound {max_pad}")
+    if left_pad > MAX_PAD or right_pad > MAX_PAD:
+        raise PadTooLarge(f"pads {(left_pad, right_pad)} exceed bound {MAX_PAD}")
     m = count_kinks(w)
     members = frozenset(
         e for _, e in padded(w, left_pad, right_pad) if count_kinks(e) == m
@@ -211,8 +244,7 @@ def check_stable_extension(w: str, pad: int) -> StableExtensionReport:
             u[i] == "1" for i in range(len(u)) if (i - la - alpha) % 2 != 0
         ):
             continue  # equality is only claimed up to parity
-        lb = len(u) - la - len(fw)
-        if next(_lifts(w, m_w, u, la, lb), None) is None:
+        if not _lifts(w, m_w, u, la):
             equality = False
             bad.append(u)
     return StableExtensionReport(
@@ -225,14 +257,10 @@ def check_stable_extension(w: str, pad: int) -> StableExtensionReport:
     )
 
 
-def _lifts(w: str, m_w: int, u: str, la: int, lb: int):
-    """Yield every a' w b' with |a'| = la, |b'| = lb and m_w kinks that steps
-    onto u."""
-    for a in words(la):
-        for b in words(lb):
-            e = a + w + b
-            if count_kinks(e) == m_w and step_word(e) == u:
-                yield e
+def _lifts(w: str, m_w: int, u: str, la: int) -> list[str]:
+    """Every a' w b' with |a'| = la and m_w kinks that steps onto u, in
+    lexicographic order: the preimages of u with w pinned at la."""
+    return [e for e in _walk(u, la, w) if count_kinks(e) == m_w]
 
 
 def unique_lift(w: str, a: str, b: str) -> str:
@@ -258,7 +286,7 @@ def unique_lift(w: str, a: str, b: str) -> str:
     # uniqueness holds within the kink-preserving extension family of w;
     # lifts that introduce extra kinks are out of scope
     m_w = count_kinks(w)
-    found = list(_lifts(w, m_w, u, len(a), len(b)))
+    found = _lifts(w, m_w, u, len(a))
     if not found:
         raise NoLift(f"no lift of {u!r} through {w!r}")
     if len(found) > 1:

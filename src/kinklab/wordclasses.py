@@ -24,6 +24,9 @@ class StabilityClass(Enum):
 
 
 _LEFT_UNSTABLE_RE = re.compile(r"0?(10)*11[01]*")
+# B excludes the alternating shapes; P excludes the flip-flop shapes.
+_ALTERNATING_B_RE = re.compile(r"11(01)*1")
+_FLIPFLOP_RE = re.compile(r"1(100010)*1001|1001(010001)*1")
 
 
 def is_left_unstable(w: str) -> bool:
@@ -60,14 +63,6 @@ def is_left_kink_word(w: str) -> bool:
     return len(occ) == 1 and occ[0].position == 0
 
 
-def _is_alternating_b_exclusion(w: str) -> bool:
-    # The excluded shapes 11 (01)^k 1.
-    if len(w) < 3 or len(w) % 2 == 0:
-        return False
-    k = (len(w) - 3) // 2
-    return w == "11" + "01" * k + "1"
-
-
 def in_B(w: str) -> bool:
     """Two-kink words that begin with 11 and end with a kink (the terminal kink
     may overlap the prefix), excluding the alternating shapes 11(01)^k 1."""
@@ -77,15 +72,7 @@ def in_B(w: str) -> bool:
         return False
     if not any(p + g + 1 == len(w) - 1 for p, g in occ):
         return False
-    return not _is_alternating_b_exclusion(w)
-
-
-def _is_flipflop_shape(b: str) -> bool:
-    # 1 (100010)^k 1001 or 1001 (010001)^k 1 for some k >= 0.
-    if (len(b) - 5) % 6 != 0 or len(b) < 5:
-        return False
-    k = (len(b) - 5) // 6
-    return b == "1" + "100010" * k + "1001" or b == "1001" + "010001" * k + "1"
+    return _ALTERNATING_B_RE.fullmatch(w) is None
 
 
 def in_P(w: str) -> bool:
@@ -103,4 +90,4 @@ def in_P(w: str) -> bool:
         # b = 11 v 11: the separator must hold an even number of 1s.
         if d.delta.count("1") % 2 == 1:
             return False
-    return not _is_flipflop_shape(d.b)
+    return _FLIPFLOP_RE.fullmatch(d.b) is None

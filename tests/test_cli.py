@@ -11,6 +11,7 @@ import pytest
 import kinklab
 from kinklab import dynamics
 from kinklab.cli import main
+from kinklab.preimage import MAX_DEPTH
 
 SRC = str(Path(kinklab.__file__).resolve().parents[1])
 
@@ -223,6 +224,7 @@ def test_density_outputs(capsys, tmp_path):
         ("simulate", "--word", "012"),      # non-binary
         ("classify", "0a1"),                # non-binary
         ("preimage", "11", "--depth", "0"),  # bad depth
+        ("preimage", "11", "--depth", str(MAX_DEPTH + 1)),  # depth above the bound
         ("density", "--width", "4", "--steps", "64"),  # width below floor
     ],
 )
@@ -375,6 +377,15 @@ def test_preimage_refuses_exponential_output(depth):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "701408734 preimages" in proc.stderr
+
+
+def test_preimage_refuses_depth_before_counting(capsys):
+    # 0^40 is also refused for its preimage count: the depth bound is checked
+    # first, so its message names the depth
+    code, out, err = run(capsys, "preimage", "0" * 40, "--depth", str(MAX_DEPTH + 1))
+    assert code == 2
+    assert out == ""
+    assert f"between 1 and {MAX_DEPTH}" in err and "preimages" not in err
 
 
 def test_unknown_command_exit_2(capsys):

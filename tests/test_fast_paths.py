@@ -32,6 +32,7 @@ from kinklab import (
 from kinklab.density import _occurrence_counter, _step
 from kinklab.dynamics import spacetime_support, words
 from kinklab.kinks import cyclic_kink_counter
+from kinklab.preimage import _automaton
 from kinklab.wordclasses import is_right_unstable
 
 RIGHT_UNSTABLE_RE = re.compile(r"[01]*11(01)*0?")
@@ -148,6 +149,22 @@ def _two_kink_preimage_targets() -> list[str]:
     ]
 
 
+def _automaton_emits(case: tuple[int, int]) -> list[str]:
+    """The bits that the depth-d automaton lists window x as emitting."""
+    d, x = case
+    windows, _ = _automaton(d)
+    return [t for t in "01" if windows[t] >> x & 1]
+
+
+def _window_scalar(case: tuple[int, int]) -> list[str]:
+    """Window x stepped d times by the scalar reference."""
+    d, x = case
+    u = format(x, f"0{2 * d + 1}b")
+    for _ in range(d):
+        u = step_word_scalar(u)
+    return [u]
+
+
 EDGE_WORDS = ["", "0", "00", "0000000", "1", "11", "111", "0001", "0001011", "0101", "1001"]
 
 CASES = {
@@ -211,6 +228,12 @@ CASES = {
         is_right_unstable,
         lambda w: RIGHT_UNSTABLE_RE.fullmatch(w) is not None,
         [w for n in range(17) for w in words(n)],
+        None,
+    ),
+    "preimage_automaton": Case(
+        _automaton_emits,
+        _window_scalar,
+        [(d, x) for d in range(1, 4) for x in range(2 << 2 * d)],
         None,
     ),
     "two_kink_preimage": Case(

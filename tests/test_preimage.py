@@ -1,9 +1,15 @@
+import os
+import resource
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kinklab
 from kinklab import (
     check_stable_extension,
     count_kinks,
@@ -18,12 +24,13 @@ from kinklab import (
 from kinklab.dynamics import words
 from kinklab.errors import (
     BadShape,
+    BadWord,
     ExcludedForm,
     NotStable,
     PadTooLarge,
     WordTooShort,
 )
-from kinklab.preimage import count_preimages, has_preimage, is_excluded_form
+from kinklab.preimage import MAX_DEPTH, count_preimages, has_preimage, is_excluded_form
 
 
 def brute_force_preimages(w):
@@ -81,6 +88,26 @@ def test_preimage_depth():
     assert not preimage_depth("111", 1)
     assert preimage_depth("1001", 2)
     assert preimage_depth("11", 0)
+    assert preimage_depth("", 0) is True  # the empty chain
+    with pytest.raises(WordTooShort):
+        preimage_depth("", 1)
+    for d in (-1, MAX_DEPTH + 1):
+        with pytest.raises(ValueError, match=f"between 0 and {MAX_DEPTH}"):
+            preimage_depth("11", d)
+    for d in (0, 2):
+        with pytest.raises(BadWord):
+            preimage_depth("12", d)
+
+
+def test_preimage_depth_matches_brute_force():
+    # images[m] is the f^d image set of length m: the f^(d-1) image set of
+    # length m + 2 stepped once by the scalar reference.  Every |w| <= 8 at
+    # d <= 3 takes about 37,000 scalar steps, 0.4 s.
+    images = {m: set(words(m)) for m in range(1, 15)}
+    for d in range(1, 4):
+        images = {m: {step_word_scalar(u) for u in images[m + 2]} for m in range(1, 15 - 2 * d)}
+        for w in (w for m in range(1, 9) for w in words(m)):
+            assert preimage_depth(w, d) == (w in images[len(w)]), (w, d)
 
 
 def test_enumerate_extensions_examples():
@@ -179,6 +206,24 @@ def test_unique_lift_exhaustive_small():
                 lifted = unique_lift(w, a, "")
                 assert step_word(lifted) == u
 
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_unique_lift_walks_only_the_pads():
+    # The padded image 0^39 has hundreds of millions of preimages, but 0^40 is
+    # pinned at offset 1 and leaves one cell free.  The child runs under a
+    # 1 GiB address-space limit, which enumerating every preimage would break.
+    src = str(Path(kinklab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import kinklab; print(kinklab.unique_lift('0' * 40, '0', ''))"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0" * 41 + "\n"
 
 def test_two_kink_preimage_examples():
     assert two_kink_preimage("11011") == "1001001"

@@ -53,6 +53,8 @@ def test_in_B_examples():
     assert in_B("1100001")
     assert not in_B("111")
     assert not in_B("10011")  # does not begin with 11
+    assert not in_B("1101011")  # the excluded alternating shape 11(01)^2 1
+    assert in_B("1101001")  # one cell off it
 
 
 def test_in_B_members_are_left_unstable():
@@ -75,6 +77,13 @@ def test_in_B_reversed():
         ("1101001", True),
         ("11001", False),  # flip-flop endpoint k=0
         ("11011", True),
+        ("11000101001", False),  # 1 (100010)^1 1001
+        ("10010100011", False),  # 1001 (010001)^1 1
+        ("0110001010010", False),  # the k=1 shape inside zeros
+        ("11000101000101001", False),  # 1 (100010)^2 1001
+        ("10010100010100011", False),  # 1001 (010001)^2 1
+        ("11000001001", True),  # one cell off the k=1 shape
+        ("10010000010100011", True),  # one cell off the k=2 shape
     ],
 )
 def test_in_P_examples(w, expected):
