@@ -18,8 +18,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# preimage refuses targets with more preimages than this: the count grows
-# exponentially in |w| (0^40 has 701,408,734) and enumeration holds them all.
+# preimage --depth 1 enumerates at most this many preimages: the count grows
+# exponentially in |w| (0^40 has 701,408,734); deeper probes enumerate none.
 MAX_PREIMAGES = 1 << 16
 
 
@@ -123,13 +123,13 @@ def _cmd_preimage(args) -> int:
     w = dynamics.check_word(args.word)
     if not 1 <= args.depth <= preimage.MAX_DEPTH:
         raise KinklabError(f"depth must be between 1 and {preimage.MAX_DEPTH}, got {args.depth}")
-    count = preimage.count_preimages(w)
-    if count > MAX_PREIMAGES:
-        raise KinklabError(
-            f"{w!r} has {count} preimages, more than the {MAX_PREIMAGES} "
-            "the preimage command enumerates"
-        )
     if args.depth == 1:
+        count = preimage.count_preimages(w)
+        if count > MAX_PREIMAGES:
+            raise KinklabError(
+                f"{w!r} has {count} preimages, more than the {MAX_PREIMAGES} "
+                "the preimage command enumerates"
+            )
         print(json.dumps(list(preimage.preimages(w).members)))
     else:
         print(json.dumps(preimage.preimage_depth(w, args.depth)))

@@ -52,7 +52,7 @@ def _automaton(d: int) -> tuple[dict[str, int], dict[str, dict[int, int]]]:
     (2d+1)-cell window x moves from state x >> 1 to its last 2d cells.
 
     windows[t]: the set of windows that emit t, as bits.  back[t][mask]: the
-    states with a move emitting t into a state of mask, filled by _reach_table
+    states with a move emitting t into a state of mask, filled by _reach_masks
     as masks occur and kept for the process, at most 2^24 bits of them per t."""
     emits = "01"  # emits[x]: the bit window x emits, after 0 steps so far
     for k in range(3, 2 * d + 2, 2):  # one more step: x steps onto k - 2 cells
@@ -68,12 +68,12 @@ def _check_target(w: str) -> str:
     return w
 
 
-def _reach_table(w: str, d: int = 1) -> list[int]:
-    """reach[i] = mask of the depth-d overlap states at layer i that can
-    complete w[i:]."""
+def _reach_masks(w: str, d: int = 1):
+    """Yield, for i from |w| down to 0, the mask of the depth-d overlap states
+    at layer i that can complete w[i:]."""
     n = 1 << 2 * d  # states
     windows, back = _automaton(d)
-    reach = [r := (1 << n) - 1]
+    yield (r := (1 << n) - 1)
     for t in reversed(_check_target(w)):
         try:
             r = back[t][r]
@@ -84,9 +84,7 @@ def _reach_table(w: str, d: int = 1) -> list[int]:
             prev, r = r, int(format(x | x >> 1, f"0{2 * n}b")[1::2], 2)
             if len(back[t]) < 1 << 24 - 2 * d:  # each mask has 4^d bits
                 back[t][prev] = r
-        reach.append(r)
-    reach.reverse()
-    return reach
+        yield r
 
 
 @cache
@@ -106,7 +104,7 @@ def _walk(w: str, at: int = 0, pin: str = "") -> list[str]:
     """Every u with step_word(u) = w and u[at : at + len(pin)] = pin, in
     lexicographic order.  A branch ends at its first cell off pin, so the walk
     takes at most 2^(|w| + 2 - len(pin)) branches."""
-    reach = _reach_table(w)
+    reach = [*_reach_masks(w)][::-1]
     moves = _moves()
     # layer i's moves append cell i + 2; where it is pinned, only those that fit
     layers = [
@@ -151,7 +149,7 @@ def count_preimages(w: str) -> int:
 
 def has_preimage(w: str) -> bool:
     """Existence-only variant of preimages(), O(|w|)."""
-    return _reach_table(w)[0] != 0
+    return preimage_depth(w, 1)
 
 
 def preimage_depth(w: str, d: int) -> bool:
@@ -163,7 +161,9 @@ def preimage_depth(w: str, d: int) -> bool:
     if d == 0:
         check_word(w)
         return True
-    return _reach_table(w, d)[0] != 0
+    for r in _reach_masks(w, d):  # keeps only the running mask
+        pass
+    return r != 0
 
 
 @dataclass(frozen=True)
@@ -225,14 +225,9 @@ def check_stable_extension(w: str, pad: int) -> StableExtensionReport:
     inclusion = True
     family = enumerate_extensions(w, pad, pad)
     for e in sorted(family.members):
-        fe = step_word(e)
-        # step_word(e) must keep the kink count of step_word(w) and contain it
-        # at the offset of some occurrence of w in e
-        ok = count_kinks(fe) == m_fw and any(
-            e[start : start + len(w)] == w and fe[start : start + len(fw)] == fw
-            for start in range(len(e) - len(w) + 1)
-        )
-        if not ok:
+        # step_word(e) holds step_word(w) where e holds w (locality), so only
+        # its kink count can fail
+        if count_kinks(step_word(e)) != m_fw:
             inclusion = False
             bad.append(e)
 

@@ -368,7 +368,7 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("depth", ["1", "2"])
+@pytest.mark.parametrize("depth", ["1"])
 def test_preimage_refuses_exponential_output(depth):
     # 0^40 has 701,408,734 preimages: enumerating them would exhaust memory,
     # so the child runs under a 1 GiB address-space limit
@@ -377,6 +377,15 @@ def test_preimage_refuses_exponential_output(depth):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "701408734 preimages" in proc.stderr
+
+
+def test_preimage_depth_probe_ignores_preimage_count():
+    # a deeper probe enumerates nothing, so 0^40 is answered, not refused,
+    # under the same 1 GiB address-space limit
+    proc = run_fresh("preimage", "0" * 40, "--depth", "2",
+                     preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "true\n"
 
 
 def test_preimage_refuses_depth_before_counting(capsys):
