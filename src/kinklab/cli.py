@@ -22,6 +22,11 @@ EXIT_USAGE = 2
 # exponentially in |w| (0^40 has 701,408,734); deeper probes enumerate none.
 MAX_PREIMAGES = 1 << 16
 
+# simulate --render draws at most this many cells: 8,000 steps of --support 1
+# (128,024,001 cells) write 128 MB of ascii and peak at 394 MB RSS, about 3x
+# (pbm writes 2 bytes a cell and peaks at 894 MB).
+MAX_DIAGRAM_CELLS = 1 << 27
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -63,31 +68,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps < 0:
+    steps, rule = args.steps, args.rule
+    if steps < 0:
         raise KinklabError("steps must be non-negative")
     if args.word is not None:
-        x = dynamics.check_word(args.word)
-        step, spacetime = dynamics.step_word, dynamics.spacetime_word
+        x = start = dynamics.check_word(args.word)
+        width, step, spacetime = len(x), dynamics.step_word, dynamics.spacetime_word
     elif args.cyclic is not None:
         x = CyclicConfig(args.cyclic)
-        step, spacetime = dynamics.step_cyclic, dynamics.spacetime_cyclic
+        width, start, spacetime = x.width, int(x.bits, 2), dynamics.spacetime_cyclic
+        step = lambda y, rule: dynamics.step_cyclic_packed(y, width, rule)  # noqa: E731
     else:
         x = FiniteSupportConfig(args.support, args.offset)
-        step, spacetime = dynamics.step_support, dynamics.spacetime_support
+        width = len(x.support) + 2 * steps if x.support else 1
+        start, step = int(x.support or "0", 2), dynamics.step_packed
+        spacetime = dynamics.spacetime_support
     if args.render:
+        if (steps + 1) * width > MAX_DIAGRAM_CELLS:
+            raise KinklabError(f"a {steps + 1} x {width} diagram exceeds {MAX_DIAGRAM_CELLS} cells")
         # the final configuration is the diagram's last row, not a second run
-        diagram = spacetime(x, args.steps, args.rule)
+        diagram = spacetime(x, steps, rule)
         sys.stdout.buffer.write(dynamics.render_spacetime(diagram, args.render))
         sys.stdout.buffer.flush()
         last = diagram.rows[-1]
-        x = type(x)(last) if args.support is None else FiniteSupportConfig(last, diagram.left)
     else:
-        for _ in range(args.steps):
-            x = step(x, args.rule)
-    if args.support is not None:
-        print(f"{x.support or '(empty)'} @ {x.offset}")
-    else:
-        print(x if args.word is not None else x.bits)
+        last = start
+        for _ in range(steps):
+            last = step(last, rule)
+        if args.word is None:
+            last = format(last, f"0{width}b")
+    if args.support is None:
+        print(last)
+    else:  # the light cone: a nonempty support's last row starts at offset - steps
+        print(f"{last} @ {x.offset - steps}" if x.support else "(empty) @ 0")
     return EXIT_OK
 
 

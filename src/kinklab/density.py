@@ -5,8 +5,8 @@ their streams from a counter-based Philox generator keyed on (seed, trial), so
 each trial's cells depend on nothing but the seed and its index.
 
 The engine is bit-parallel ("multi-spin" coding): a trial's configuration is
-one Python int, bit i holding cell i, and a cyclic rule-18 step is two
-rotations, an xor and a mask.  Observables read the word doubled,
+one Python int, bit i holding cell i, stepped by ``dynamics.step_cyclic_packed``
+(two rotations, an xor and a mask).  Observables read the word doubled,
 ``x | x << width``, so every cyclic window is an ordinary bit range.  The kink
 count is ``kinks.cyclic_kink_counter``; the string engines ``step_cyclic`` and
 ``count_kinks_cyclic`` share no code with this engine and are its references.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import CyclicConfig, check_word
+from .dynamics import CyclicConfig, check_word, step_cyclic_packed
 from .errors import BadWord, DegenerateWindow, WidthTooSmall
 from .kinks import cyclic_kink_counter
 
@@ -49,12 +49,6 @@ def sample_uniform(width: int, seed: int) -> CyclicConfig:
         raise WidthTooSmall(f"width {width} < 3")
     bits = _trial_rng(_check_seed(seed), 0).integers(0, 2, size=width, dtype=np.uint8)
     return CyclicConfig("".join("1" if b else "0" for b in bits))
-
-
-def _step(x: int, width: int) -> int:
-    """One cyclic rule-18 step, ``~b & (a ^ c)`` on the rotated words."""
-    top = width - 1
-    return ~x & ((x << 1 | x >> top) ^ (x >> 1 | x << top)) & ((1 << width) - 1)
 
 
 def _occurrence_counter(w: str, width: int) -> Callable[[int], int]:
@@ -108,7 +102,7 @@ def _trajectory(width: int, steps: int, trials: int, seed: int,
         x = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
         counts = [observe(x)]
         for _ in range(steps):
-            x = _step(x, width)
+            x = step_cyclic_packed(x, width)
             cur = observe(x)
             if monotone and cur > counts[-1]:
                 raise RuntimeError(

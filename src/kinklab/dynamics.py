@@ -1,15 +1,15 @@
 """Exact application of rules 18 and 90 to finite words, cycles and finite-support
 configurations.
 
-Words are plain Python strings over {0, 1}.  The hot path packs a word into a
-single int and computes a whole step with three shifts and a mask; a scalar
-triple-loop reference is kept for cross-checking.
+Words are plain Python strings over {0, 1}.  Each geometry steps one packed int
+with a few shifts and a mask: ``step_packed`` on a 0 background (words and
+supports), ``step_cyclic_packed`` on a cycle.  The string engines
+``step_word_scalar``, ``step_cyclic`` and ``step_support`` are their references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 
 from .errors import BadWord, EmptyDiagram, WidthTooSmall, WordTooShort
@@ -50,31 +50,38 @@ def rule18_local(a: int, b: int, c: int) -> int:
 
 
 def step_word(w: str, rule: str = R18) -> str:
-    """One synchronous step on a finite word; output is 2 symbols shorter.
-
-    Bit-parallel on the word packed into an int: rule 18 is ``step_packed``
-    without the border cells, rule 90 is ``a ^ c`` on the shifted lanes.
-    """
+    """One synchronous step on a finite word; output is 2 symbols shorter:
+    ``step_packed`` on the word packed into an int, without the border cells."""
     n = len(check_word(w))
     if n < 3:
         raise WordTooShort(f"cannot step word of length {n} < 3")
-    x = int(w, 2)
-    mask = (1 << (n - 2)) - 1
-    if rule == R18:
-        y = step_packed(x) >> 2
-    elif rule == R90:
-        y = (x >> 2) ^ x
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return format(y & mask, f"0{n - 2}b")
+    return format(step_packed(int(w, 2), rule) >> 2 & (1 << n - 2) - 1, f"0{n - 2}b")
 
 
-def step_packed(x: int) -> int:
-    """One rule-18 step, ``~b & (a ^ c)``, of the word in the bits of x on a 0
-    background, one cell left: ``step_word("00" + s + "00")`` read as an int."""
+def step_packed(x: int, rule: str = R18) -> int:
+    """One step of the word in the bits of x on a 0 background, one cell left:
+    ``step_word("00" + s + "00", rule)`` read as an int.  Rule 18 is
+    ``~b & (a ^ c)`` and rule 90 is ``a ^ c``."""
     if x < 0:
         raise ValueError(f"packed word must be non-negative, got {x}")
-    return ~(x << 1) & (x ^ x << 2)
+    if rule == R18:
+        return ~(x << 1) & (x ^ x << 2)
+    if rule == R90:
+        return x ^ x << 2
+    raise ValueError(f"unknown rule {rule!r}")
+
+
+def step_cyclic_packed(x: int, width: int, rule: str = R18) -> int:
+    """One step of the cycle in the low ``width`` bits of x, on the rotated
+    words.  Both rules are mirror-symmetric, so bit i may hold cell i or cell
+    width - 1 - i."""
+    top = width - 1
+    lanes = (x << 1 | x >> top) ^ (x >> 1 | x << top)
+    if rule == R18:
+        return ~x & lanes & (1 << width) - 1
+    if rule == R90:
+        return lanes & (1 << width) - 1
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def step_word_scalar(w: str, rule: str = R18) -> str:
@@ -166,19 +173,12 @@ def step_support(x: FiniteSupportConfig, rule: str = R18) -> FiniteSupportConfig
     return FiniteSupportConfig(stepped, x.offset - 1)
 
 
-class Geometry(Enum):
-    SHRINKING_WORD = "shrinking-word"
-    CYCLIC = "cyclic"
-    PADDED_SUPPORT = "padded-support"
-
-
 @dataclass(frozen=True)
 class SpacetimeDiagram:
     """One row per time step, top to bottom."""
 
     rows: tuple[str, ...]
-    geometry: Geometry = Geometry.SHRINKING_WORD
-    left: int = 0  # coordinate of each row's first cell (padded support)
+    left: int = 0  # coordinate of each row's first cell (a support's light cone)
 
 
 def spacetime_word(w: str, steps: int, rule: str = R18) -> SpacetimeDiagram:
@@ -186,44 +186,42 @@ def spacetime_word(w: str, steps: int, rule: str = R18) -> SpacetimeDiagram:
     for _ in range(steps):
         w = step_word(w, rule)
         rows.append(w)
-    return SpacetimeDiagram(tuple(rows), Geometry.SHRINKING_WORD)
+    return SpacetimeDiagram(tuple(rows))
 
 
 def spacetime_cyclic(x: CyclicConfig, steps: int, rule: str = R18) -> SpacetimeDiagram:
+    width, y = x.width, int(x.bits, 2)
     rows = [x.bits]
     for _ in range(steps):
-        x = step_cyclic(x, rule)
-        rows.append(x.bits)
-    return SpacetimeDiagram(tuple(rows), Geometry.CYCLIC)
+        y = step_cyclic_packed(y, width, rule)
+        rows.append(format(y, f"0{width}b"))
+    return SpacetimeDiagram(tuple(rows))
 
 
 def spacetime_support(
     x: FiniteSupportConfig, steps: int, rule: str = R18
 ) -> SpacetimeDiagram:
-    """Render a finite-support run on a fixed window covering the light cone."""
-    configs = [x]
-    for _ in range(steps):
-        configs.append(step_support(configs[-1], rule))
-    nonempty = [c for c in configs if c.support]
-    if not nonempty:
-        left, right = 0, 1
-    else:
-        left = min(c.offset for c in nonempty)
-        right = max(c.offset + len(c.support) for c in nonempty)
-    rows = tuple(
-        "0" * (c.offset - left) + c.support + "0" * (right - c.offset - len(c.support))
-        if c.support else "0" * (right - left)
-        for c in configs
-    )
-    return SpacetimeDiagram(rows, Geometry.PADDED_SUPPORT, left)
+    """Render a finite-support run on its light cone.  Both rules map 001 and
+    100 to 1, so a nonempty support gains exactly one cell on each side per
+    step: the window runs from offset - steps to offset + |s| + steps, and row
+    t is the support after t steps, shifted right by steps - t cells."""
+    if not x.support:
+        return SpacetimeDiagram(("0",) * (steps + 1))
+    width, y = len(x.support) + 2 * steps, int(x.support, 2)
+    rows = [format(y << steps, f"0{width}b")]
+    for t in range(1, steps + 1):
+        y = step_packed(y, rule)
+        rows.append(format(y << steps - t, f"0{width}b"))
+    return SpacetimeDiagram(tuple(rows), x.offset - steps)
 
 
 def render_spacetime(diagram: SpacetimeDiagram, format: str = "ascii") -> bytes:
     """ASCII uses '.'/'#' per cell, one row per line; pbm emits a P1 bitmap.
 
-    In shrinking-word geometry the pbm rows are centered (t cells of background
-    on each side at step t) so the light cone lines up; ASCII rows are emitted
-    as-is.
+    The pbm rows are centered on the widest row (a row k cells short gets k/2
+    cells of background on each side, rounded down on the left), so a
+    shrinking word's light cone lines up; rows of equal width are unchanged.
+    ASCII rows are emitted as-is.
     """
     if not diagram.rows:
         raise EmptyDiagram("diagram has no rows")

@@ -4,13 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import kinklab
-from kinklab import dynamics
-from kinklab.cli import main
+from kinklab import cli, dynamics
+from kinklab.cli import MAX_DIAGRAM_CELLS, main
 from kinklab.preimage import MAX_DEPTH
 
 SRC = str(Path(kinklab.__file__).resolve().parents[1])
@@ -51,14 +52,14 @@ def test_simulate_support(capsys):
 @pytest.mark.parametrize("render", [[], ["--render", "ascii"]])
 def test_simulate_support_steps_once(capsys, monkeypatch, render):
     # the final configuration comes from the diagram's run, not a second one
-    real = dynamics.step_support
+    real = dynamics.step_packed
     calls = []
 
     def counting(x, rule=dynamics.R18):
         calls.append(x)
         return real(x, rule)
 
-    monkeypatch.setattr(dynamics, "step_support", counting)
+    monkeypatch.setattr(dynamics, "step_packed", counting)
     code, out, _ = run(capsys, "simulate", "--support", "1", "--steps", "5", *render)
     assert code == 0
     assert len(calls) == 5
@@ -295,16 +296,17 @@ def test_import_kinklab_loads_no_submodule():
 # what `from kinklab import *` bound before the package loaded its submodules
 # lazily: every public name and submodule but the CLI and the density lab
 STAR_NAMES = [
-    "CyclicConfig", "ExtensionFamily", "FiniteSupportConfig", "Geometry",
-    "KinkOccurrence", "OracleReport", "OracleStatus", "PreimageSet", "R18", "R90",
-    "SpacetimeDiagram", "StabilityClass", "TwoKinkDecomposition",
+    "CyclicConfig", "ExtensionFamily", "FiniteSupportConfig", "KinkOccurrence",
+    "OracleReport", "OracleStatus", "PreimageSet", "R18", "R90", "SpacetimeDiagram",
+    "StabilityClass", "TwoKinkDecomposition",
     "check_stable_extension", "classify_stability", "count_kinks",
     "count_kinks_cyclic", "count_kinks_packed", "dynamics", "enumerate_extensions",
     "errors", "find_kinks", "in_B", "in_P", "is_left_kink_word", "is_stable",
     "iterate_word", "kinks", "oracles", "preimage", "preimage_depth", "preimages",
     "render_spacetime", "reverse", "rule18_local", "run_all", "step_cyclic",
-    "step_packed", "step_support", "step_word", "step_word_scalar",
-    "two_kink_decompose", "two_kink_preimage", "unique_lift", "wordclasses",
+    "step_cyclic_packed", "step_packed", "step_support", "step_word",
+    "step_word_scalar", "two_kink_decompose", "two_kink_preimage", "unique_lift",
+    "wordclasses",
 ]
 
 
@@ -366,6 +368,36 @@ def test_density_command_imports_numpy(tmp_path):
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_simulate_refuses_a_diagram_over_the_cell_cap():
+    # 20,001 rows of 40,001 cells would exhaust a 1 GiB address space; the
+    # cap refuses before any step, so the refusal is quick and prints nothing
+    start = time.perf_counter()
+    proc = run_fresh("simulate", "--support", "1", "--steps", "20000", "--render", "ascii",
+                     preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"exceeds {MAX_DIAGRAM_CELLS} cells" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        (["--word", "0" * 12, "--steps", "5"], 6 * 12),
+        (["--cyclic", "0" * 12, "--steps", "99"], 100 * 12),
+        (["--support", "101", "--steps", "99"], 100 * (3 + 2 * 99)),
+        (["--support", "000", "--steps", "99"], 100 * 1),
+    ],
+)
+def test_simulate_cell_cap_counts_the_diagram(capsys, monkeypatch, argv, cells):
+    # (steps + 1) rows of |w| cells, of the cycle's width, or of the light
+    # cone's |s| + 2 steps (1 for the empty support)
+    for cap, expected in ((cells, 0), (cells - 1, 2)):
+        monkeypatch.setattr(cli, "MAX_DIAGRAM_CELLS", cap)
+        code, out, _ = run(capsys, "simulate", *argv, "--render", "ascii")
+        assert (code, out == "") == (expected, expected == 2)
 
 
 @pytest.mark.parametrize("depth", ["1"])

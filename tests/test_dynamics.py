@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from kinklab import (
     CyclicConfig,
     FiniteSupportConfig,
-    Geometry,
     R18,
     R90,
     SpacetimeDiagram,
@@ -212,14 +211,14 @@ def test_rule90_additivity(n, data):
 
 
 def test_render_ascii():
-    d = SpacetimeDiagram(("101",), Geometry.SHRINKING_WORD)
+    d = SpacetimeDiagram(("101",))
     assert render_spacetime(d, "ascii") == b"#.#\n"
-    d = SpacetimeDiagram(("1001", "0110"), Geometry.CYCLIC)
+    d = SpacetimeDiagram(("1001", "0110"))
     assert render_spacetime(d, "ascii") == b"#..#\n.##.\n"
 
 
 def test_render_pbm_centers_shrinking_rows():
-    d = SpacetimeDiagram(("111", "0"), Geometry.SHRINKING_WORD)
+    d = SpacetimeDiagram(("111", "0"))
     data = render_spacetime(d, "pbm").decode()
     lines = data.splitlines()
     assert lines[0] == "P1"

@@ -5,7 +5,9 @@ hypothesis strategy (or None when the fixed inputs cover the whole domain) and
 the number of hypothesis examples.  No reference calls its own fast path.
 """
 
+import io
 import re
+from contextlib import redirect_stdout
 from typing import Callable, NamedTuple
 
 import pytest
@@ -23,13 +25,15 @@ from kinklab import (
     find_kinks,
     preimages,
     step_cyclic,
+    step_cyclic_packed,
     step_packed,
     step_support,
     step_word,
     step_word_scalar,
     two_kink_preimage,
 )
-from kinklab.density import _occurrence_counter, _step
+from kinklab.cli import main
+from kinklab.density import _occurrence_counter
 from kinklab.dynamics import spacetime_support, words
 from kinklab.kinks import cyclic_kink_counter
 from kinklab.preimage import _automaton
@@ -100,6 +104,50 @@ def _spacetime_support_per_cell(case: tuple[str, int, int, str]) -> tuple[tuple[
     left, right = (min(live), max(live) + 1) if live else (0, 1)
     rows = tuple("".join(str(c.symbol(i)) for i in range(left, right)) for c in configs)
     return rows, left
+
+
+def _support_light_cone(case: tuple[str, int, int, str]) -> list[tuple[str, int]]:
+    """A packed support stepped t times, read as |s| + 2t cells at offset - t."""
+    support, offset, steps, rule = case
+    x = FiniteSupportConfig(support, offset)
+    y, n = int(x.support or "0", 2), len(x.support)
+    rows = [(x.support, x.offset)]
+    for t in range(1, steps + 1):
+        y = step_packed(y, rule)
+        rows.append((format(y, f"0{n + 2 * t}b"), x.offset - t) if n else ("", 0))
+    return rows
+
+
+def _support_steps(case: tuple[str, int, int, str]) -> list[tuple[str, int]]:
+    support, offset, steps, rule = case
+    configs = [FiniteSupportConfig(support, offset)]
+    for _ in range(steps):
+        configs.append(step_support(configs[-1], rule))
+    return [(c.support, c.offset) for c in configs]
+
+
+def _simulate(case: tuple[str, str, int, int, str]) -> str:
+    """stdout of ``kinklab simulate`` without --render."""
+    geometry, bits, offset, steps, rule = case
+    out = io.StringIO()
+    with redirect_stdout(out):
+        argv = ["simulate", geometry, bits, "--offset", str(offset)]
+        assert main([*argv, "--steps", str(steps), "--rule", rule]) == 0
+    return out.getvalue()
+
+
+def _simulate_strings(case: tuple[str, str, int, int, str]) -> str:
+    """The same run on the string engines, step_cyclic or step_support."""
+    geometry, bits, offset, steps, rule = case
+    if geometry == "--cyclic":
+        x = CyclicConfig(bits)
+        for _ in range(steps):
+            x = step_cyclic(x, rule)
+        return x.bits + "\n"
+    y = FiniteSupportConfig(bits, offset)
+    for _ in range(steps):
+        y = step_support(y, rule)
+    return f"{y.support or '(empty)'} @ {y.offset}\n"
 
 
 def _pack(bits: str) -> int:
@@ -201,12 +249,39 @@ CASES = {
         cyclic_words,
         400,
     ),
-    "density_step": Case(
-        lambda bits: _unpack(_step(_pack(bits), len(bits)), len(bits)),
-        lambda bits: step_cyclic(CyclicConfig(bits)).bits,
+    # both bit orders, since both rules are mirror-symmetric
+    "step_cyclic_packed": Case(
+        lambda c: (
+            _unpack(step_cyclic_packed(_pack(c[0]), len(c[0]), c[1]), len(c[0])),
+            format(step_cyclic_packed(int(c[0], 2), len(c[0]), c[1]), f"0{len(c[0])}b"),
+        ),
+        lambda c: (step_cyclic(CyclicConfig(c[0]), c[1]).bits,) * 2,
         [],
-        cyclic_words,
-        400,
+        st.tuples(cyclic_words, st.sampled_from([R18, R90])),
+        200,
+    ),
+    "support_light_cone": Case(
+        _support_light_cone,
+        _support_steps,
+        [("", 0, 3, R18), ("000", 5, 2, R90), ("1", 0, 0, R18), ("0110", -3, 5, R90)],
+        st.tuples(
+            st.text(alphabet="01", max_size=24), st.integers(-40, 40),
+            st.integers(0, 16), st.sampled_from([R18, R90]),
+        ),
+        100,
+    ),
+    "simulate": Case(
+        _simulate,
+        _simulate_strings,
+        [("--support", "", 0, 3, R18), ("--support", "0", 4, 2, R90),
+         ("--cyclic", "1001", 0, 3, R18)],
+        st.one_of(
+            st.tuples(st.just("--support"), st.text("01", max_size=16), st.integers(-20, 20),
+                      st.integers(0, 12), st.sampled_from([R18, R90])),
+            st.tuples(st.just("--cyclic"), st.text("01", min_size=3, max_size=16),
+                      st.just(0), st.integers(0, 12), st.sampled_from([R18, R90])),
+        ),
+        60,
     ),
     "occurrence_counter": Case(
         lambda c: _occurrence_counter(c[1], len(c[0]))(_pack(c[0])),

@@ -59,15 +59,11 @@ def test_negative_budget_rejected(name, bounds):
 
 
 def test_reduction_cases_failure_reports(monkeypatch):
-    # cases 3 and 4 pad to the same word; each keeps its own report text
-    images = iter(["00"])
-    monkeypatch.setattr(oracles.dynamics, "iterate_word", lambda w, n: next(images))
+    # cases 3 and 4 pad to the same word, checked once under case 3's text
+    monkeypatch.setattr(oracles.dynamics, "iterate_word", lambda w, n: "00")
     r = oracles.verify_preimage_reduction_cases(0)
     assert (r.status, r.witness) == (OracleStatus.FAIL, "001100")
     assert r.detail == "f^2 of padded 11(01)^00 is not 11"
-    images = iter(["11", "00"])
-    r = oracles.verify_preimage_reduction_cases(0)
-    assert r.detail == "f^2 of padded 11(01)^0 is not 11"
 
 
 def test_mobility_budget_reports(monkeypatch):
