@@ -16,10 +16,9 @@ _EXPORTS = {
         "sample_uniform", "word_frequency_trajectory",
     ),
     "dynamics": (
-        "R18", "R90", "CyclicConfig", "FiniteSupportConfig", "SpacetimeDiagram",
-        "iterate_word", "render_spacetime", "rule18_local", "step_cyclic",
-        "step_cyclic_packed", "step_packed", "step_support", "step_word",
-        "step_word_scalar",
+        "R18", "R90", "CyclicConfig", "FiniteSupportConfig", "iterate_word",
+        "rule18_local", "step_cyclic", "step_cyclic_packed", "step_packed",
+        "step_support", "step_word", "step_word_scalar",
     ),
     "errors": (),
     "kinks": (

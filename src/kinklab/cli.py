@@ -12,7 +12,7 @@ import sys
 
 from . import dynamics
 from .dynamics import CyclicConfig, FiniteSupportConfig
-from .errors import KinklabError
+from .errors import KinklabError, WordTooShort
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -22,10 +22,15 @@ EXIT_USAGE = 2
 # exponentially in |w| (0^40 has 701,408,734); deeper probes enumerate none.
 MAX_PREIMAGES = 1 << 16
 
-# simulate --render draws at most this many cells: 8,000 steps of --support 1
-# (128,024,001 cells) write 128 MB of ascii and peak at 394 MB RSS, about 3x
-# (pbm writes 2 bytes a cell and peaks at 894 MB).
+# simulate --render writes at most this many cells, a row at a time, so the cap
+# bounds the output, not memory: 8,000 steps of --support 1 (128,024,001 cells)
+# write 128 MB of ascii or 256 MB of pbm (2 bytes a cell).
 MAX_DIAGRAM_CELLS = 1 << 27
+
+# density --width is at most this: with --steps 0 --trials 1 a run peaks at
+# 38 MB RSS at 2^20 cells, 86 MB at 2^24, 242 MB at 2^26 and 802 MB at 2^28
+# (2^27 still runs under a 1 GiB address space, in 1.0 s).
+MAX_WIDTH = 1 << 26
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,35 +76,46 @@ def _cmd_simulate(args) -> int:
     steps, rule = args.steps, args.rule
     if steps < 0:
         raise KinklabError("steps must be non-negative")
+    # each geometry gives a start state y, a step and row(t, y), the cells of row t
     if args.word is not None:
-        x = start = dynamics.check_word(args.word)
-        width, step, spacetime = len(x), dynamics.step_word, dynamics.spacetime_word
+        y = dynamics.check_word(args.word)
+        if steps and len(y) < 2 * steps + 1:
+            raise WordTooShort(f"length {len(y)} word cannot survive {steps} steps")
+        width, step, row = len(y), dynamics.step_word, lambda t, y: y
     elif args.cyclic is not None:
         x = CyclicConfig(args.cyclic)
-        width, start, spacetime = x.width, int(x.bits, 2), dynamics.spacetime_cyclic
+        width, y = x.width, int(x.bits, 2)
         step = lambda y, rule: dynamics.step_cyclic_packed(y, width, rule)  # noqa: E731
+        row = lambda t, y: format(y, f"0{width}b")  # noqa: E731
     else:
+        # the light cone: both rules map 001 and 100 to 1, so a nonempty support
+        # gains one cell on each side per step, and row t is the support after
+        # t steps in |s| + 2 steps cells from offset - steps
         x = FiniteSupportConfig(args.support, args.offset)
         width = len(x.support) + 2 * steps if x.support else 1
-        start, step = int(x.support or "0", 2), dynamics.step_packed
-        spacetime = dynamics.spacetime_support
+        y, step = int(x.support or "0", 2), dynamics.step_packed
+        row = lambda t, y: format(y << steps - t, f"0{width}b")  # noqa: E731
+    line = None
     if args.render:
         if (steps + 1) * width > MAX_DIAGRAM_CELLS:
             raise KinklabError(f"a {steps + 1} x {width} diagram exceeds {MAX_DIAGRAM_CELLS} cells")
-        # the final configuration is the diagram's last row, not a second run
-        diagram = spacetime(x, steps, rule)
-        sys.stdout.buffer.write(dynamics.render_spacetime(diagram, args.render))
-        sys.stdout.buffer.flush()
-        last = diagram.rows[-1]
-    else:
-        last = start
-        for _ in range(steps):
-            last = step(last, rule)
-        if args.word is None:
-            last = format(last, f"0{width}b")
+        out = sys.stdout.buffer
+        if args.render == "ascii":
+            table = str.maketrans("01", ".#")
+            line = lambda r: (r.translate(table) + "\n").encode()  # noqa: E731
+        else:  # a word's row t, 2t cells short, is centred on t background cells a side
+            out.write(f"P1\n{width} {steps + 1}\n".encode())
+            line = lambda r: (" ".join(r.center(width, "0")) + "\n").encode()  # noqa: E731
+    for t in range(steps):
+        if line:
+            out.write(line(row(t, y)))
+        y = step(y, rule)
+    last = row(steps, y)
+    if line:
+        out.write(line(last))
     if args.support is None:
         print(last)
-    else:  # the light cone: a nonempty support's last row starts at offset - steps
+    else:
         print(f"{last} @ {x.offset - steps}" if x.support else "(empty) @ 0")
     return EXIT_OK
 
@@ -162,6 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.width > MAX_WIDTH:
+        raise KinklabError(f"width {args.width} exceeds {MAX_WIDTH} cells")
     from . import density  # imports numpy, which no other command needs
 
     series = density.density_trajectory(args.width, args.steps, args.trials, args.seed)
@@ -204,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (KinklabError, ValueError) as exc:
+    except (KinklabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

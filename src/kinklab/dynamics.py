@@ -1,5 +1,5 @@
-"""Exact application of rules 18 and 90 to finite words, cycles and finite-support
-configurations.
+"""Exact steps of rules 18 and 90 on finite words, cycles and finite-support
+configurations; ``kinklab simulate`` writes a run's diagram a row per step.
 
 Words are plain Python strings over {0, 1}.  Each geometry steps one packed int
 with a few shifts and a mask: ``step_packed`` on a 0 background (words and
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BadWord, EmptyDiagram, WidthTooSmall, WordTooShort
+from .errors import BadWord, WidthTooSmall, WordTooShort
 
 R18 = "r18"
 R90 = "r90"
@@ -171,70 +171,3 @@ def step_support(x: FiniteSupportConfig, rule: str = R18) -> FiniteSupportConfig
         return x
     stepped = step_word("00" + x.support + "00", rule)
     return FiniteSupportConfig(stepped, x.offset - 1)
-
-
-@dataclass(frozen=True)
-class SpacetimeDiagram:
-    """One row per time step, top to bottom."""
-
-    rows: tuple[str, ...]
-    left: int = 0  # coordinate of each row's first cell (a support's light cone)
-
-
-def spacetime_word(w: str, steps: int, rule: str = R18) -> SpacetimeDiagram:
-    rows = [check_word(w)]
-    for _ in range(steps):
-        w = step_word(w, rule)
-        rows.append(w)
-    return SpacetimeDiagram(tuple(rows))
-
-
-def spacetime_cyclic(x: CyclicConfig, steps: int, rule: str = R18) -> SpacetimeDiagram:
-    width, y = x.width, int(x.bits, 2)
-    rows = [x.bits]
-    for _ in range(steps):
-        y = step_cyclic_packed(y, width, rule)
-        rows.append(format(y, f"0{width}b"))
-    return SpacetimeDiagram(tuple(rows))
-
-
-def spacetime_support(
-    x: FiniteSupportConfig, steps: int, rule: str = R18
-) -> SpacetimeDiagram:
-    """Render a finite-support run on its light cone.  Both rules map 001 and
-    100 to 1, so a nonempty support gains exactly one cell on each side per
-    step: the window runs from offset - steps to offset + |s| + steps, and row
-    t is the support after t steps, shifted right by steps - t cells."""
-    if not x.support:
-        return SpacetimeDiagram(("0",) * (steps + 1))
-    width, y = len(x.support) + 2 * steps, int(x.support, 2)
-    rows = [format(y << steps, f"0{width}b")]
-    for t in range(1, steps + 1):
-        y = step_packed(y, rule)
-        rows.append(format(y << steps - t, f"0{width}b"))
-    return SpacetimeDiagram(tuple(rows), x.offset - steps)
-
-
-def render_spacetime(diagram: SpacetimeDiagram, format: str = "ascii") -> bytes:
-    """ASCII uses '.'/'#' per cell, one row per line; pbm emits a P1 bitmap.
-
-    The pbm rows are centered on the widest row (a row k cells short gets k/2
-    cells of background on each side, rounded down on the left), so a
-    shrinking word's light cone lines up; rows of equal width are unchanged.
-    ASCII rows are emitted as-is.
-    """
-    if not diagram.rows:
-        raise EmptyDiagram("diagram has no rows")
-    if format == "ascii":
-        table = str.maketrans("01", ".#")
-        return "".join(row.translate(table) + "\n" for row in diagram.rows).encode()
-    if format == "pbm":
-        width = max(len(row) for row in diagram.rows)
-        lines = [f"P1\n{width} {len(diagram.rows)}\n"]
-        for row in diagram.rows:
-            pad = width - len(row)
-            left = pad // 2
-            cells = "0" * left + row + "0" * (pad - left)
-            lines.append(" ".join(cells) + "\n")
-        return "".join(lines).encode()
-    raise ValueError(f"unknown render format {format!r}")

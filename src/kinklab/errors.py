@@ -17,10 +17,6 @@ class WidthTooSmall(KinklabError):
     """Cyclic configurations need width >= 3 so every neighborhood is defined."""
 
 
-class EmptyDiagram(KinklabError):
-    pass
-
-
 class NotTwoKink(KinklabError):
     """Operation is only defined on words with exactly two kinks."""
 

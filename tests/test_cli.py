@@ -26,7 +26,7 @@ def run(capsys, *argv):
 def test_simulate_word(capsys):
     code, out, _ = run(capsys, "simulate", "--word", "0010101100101", "--steps", "3")
     assert code == 0
-    assert out.strip() == "1001011"
+    assert out == "1001011\n"
 
 
 def test_simulate_rule90(capsys):
@@ -39,6 +39,8 @@ def test_simulate_cyclic(capsys):
     code, out, _ = run(capsys, "simulate", "--cyclic", "1001", "--steps", "2")
     assert code == 0
     assert out.strip() == "1001"
+    code, out, _ = run(capsys, "simulate", "--cyclic", "1001", "--steps", "3")
+    assert (code, out) == (0, "0110\n")
 
 
 def test_simulate_support(capsys):
@@ -73,22 +75,6 @@ def test_simulate_support_steps_once(capsys, monkeypatch, render):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["--word", "0010101100101", "--steps", "3"], "1001011\n"),
-        (["--cyclic", "1001", "--steps", "3"], "0110\n"),
-        (["--support", "1101", "--steps", "4", "--offset", "7"], "101010010101 @ 3\n"),
-    ],
-)
-def test_simulate_without_render_builds_no_diagram(capsys, monkeypatch, argv, expected):
-    # a diagram costs a row per step; only --render prints one
-    for name in ("spacetime_word", "spacetime_cyclic", "spacetime_support"):
-        monkeypatch.setattr(dynamics, name, lambda *a: pytest.fail(f"built a diagram: {a}"))
-    code, out, _ = run(capsys, "simulate", *argv)
-    assert (code, out) == (0, expected)
-
-
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
         (["0", "--steps", "3"], "(empty) @ 0\n"),
         (["1", "--steps", "0"], "1 @ 0\n"),
         (["111", "--steps", "2", "--rule", "r90"], "1110111 @ -2\n"),
@@ -99,6 +85,7 @@ def test_simulate_without_render_builds_no_diagram(capsys, monkeypatch, argv, ex
             "0 0 1 0 1 0 0 1 0 1 0 0\n0 1 0 0 0 1 1 0 0 0 1 0\n"
             "1 0 1 0 1 0 0 1 0 1 0 1\n101010010101 @ 3\n",
         ),
+        (["1101", "--steps", "4", "--offset", "7"], "101010010101 @ 3\n"),
     ],
 )
 def test_simulate_support_final_state(capsys, argv, expected):
@@ -113,6 +100,38 @@ def test_simulate_render_ascii(capsys):
     )
     assert code == 0
     assert out.startswith("#..#\n.##.\n")
+
+
+# sha256 of stdout, pinned when the three geometries built their whole diagram
+# before writing it: rows are written as they are stepped, byte for byte the same
+RENDER_DIGESTS = {
+    ("--word", "r18", "ascii"): "212842065f742f924b1aee939c0a55383d94d1cca0a4e8c0f5f7d4dd19e5ccaa",
+    ("--word", "r18", "pbm"): "d11f0a433abe9aa88ce75aa1ed51ee6173cfb2d7e0c0c2bb7423d9ae811ea62e",
+    ("--word", "r90", "ascii"): "e3a206d7eb4b3907f537d02ce15ed2d1b8c431029dea9afcaa805ab431ea007d",
+    ("--word", "r90", "pbm"): "a3a0acf6da81e301ddb6df0ed6b8e567ed985a9ae175a1eae961ed43e682f8d1",
+    ("--cyclic", "r18", "ascii"): "47d97cc4213c3cf05533b3a32efa9804f4bdae3fd4b96513a871ab8ec017e3a4",
+    ("--cyclic", "r18", "pbm"): "3d0eed7d62834ca99718aef389e62fa1ae2e5ace20b1d3fb5b3f18f7cc3ffee1",
+    ("--cyclic", "r90", "ascii"): "76285ada75736817d617f285d8a29e1971e42252dbbea50ce47131e5b0004cca",
+    ("--cyclic", "r90", "pbm"): "7f041d446470d65c2be75170d46ae8bcfcd968c2928e46dee626a23aff48f4f5",
+    ("--support", "r18", "ascii"): "692be288cf5f185f5a4f74b1c9d02bba104e12cf1a5e1313a2fff794e015cda5",
+    ("--support", "r18", "pbm"): "c1b8fa7f75fc65fad5c5edae26e6683e5b3d3cdd23ba433ba8d48840447e417d",
+    ("--support", "r90", "ascii"): "97d45bcf494f388c82109954569a7ff69a709476dcb51aa5a48db405d094950b",
+    ("--support", "r90", "pbm"): "789b4162d4a0c344cbcf84f3fa4ff9d09bae81ce29e872f29d7c3c7c72794239",
+}
+RENDER_STARTS = {
+    "--word": ["0010101100101101001110100101100010110100111010010110001011010011"],
+    "--cyclic": ["100101100010110100111010010110001011"],
+    "--support": ["1101001", "--offset", "-5"],
+}
+
+
+@pytest.mark.parametrize("geometry, rule, render", sorted(RENDER_DIGESTS))
+def test_simulate_render_digest(capsys, geometry, rule, render):
+    code, out, _ = run(capsys, "simulate", geometry, *RENDER_STARTS[geometry],
+                       "--steps", "24", "--rule", rule, "--render", render)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == RENDER_DIGESTS[geometry, rule, render]
 
 
 def test_classify_two_kink(capsys):
@@ -227,11 +246,13 @@ def test_density_outputs(capsys, tmp_path):
         ("preimage", "11", "--depth", "0"),  # bad depth
         ("preimage", "11", "--depth", str(MAX_DEPTH + 1)),  # depth above the bound
         ("density", "--width", "4", "--steps", "64"),  # width below floor
+        ("simulate", "--word", "00000", "--steps", "3", "--render", "pbm"),  # dies at step 3
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    # every refusal comes before the first byte of stdout
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize(
@@ -297,13 +318,13 @@ def test_import_kinklab_loads_no_submodule():
 # lazily: every public name and submodule but the CLI and the density lab
 STAR_NAMES = [
     "CyclicConfig", "ExtensionFamily", "FiniteSupportConfig", "KinkOccurrence",
-    "OracleReport", "OracleStatus", "PreimageSet", "R18", "R90", "SpacetimeDiagram",
+    "OracleReport", "OracleStatus", "PreimageSet", "R18", "R90",
     "StabilityClass", "TwoKinkDecomposition",
     "check_stable_extension", "classify_stability", "count_kinks",
     "count_kinks_cyclic", "count_kinks_packed", "dynamics", "enumerate_extensions",
     "errors", "find_kinks", "in_B", "in_P", "is_left_kink_word", "is_stable",
     "iterate_word", "kinks", "oracles", "preimage", "preimage_depth", "preimages",
-    "render_spacetime", "reverse", "rule18_local", "run_all", "step_cyclic",
+    "reverse", "rule18_local", "run_all", "step_cyclic",
     "step_cyclic_packed", "step_packed", "step_support", "step_word",
     "step_word_scalar", "two_kink_decompose", "two_kink_preimage", "unique_lift",
     "wordclasses",
@@ -366,8 +387,8 @@ def test_density_command_imports_numpy(tmp_path):
     assert proc.stderr.splitlines()[-1] == "True"
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _limit_address_space(limit=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_simulate_refuses_a_diagram_over_the_cell_cap():
@@ -380,6 +401,22 @@ def test_simulate_refuses_a_diagram_over_the_cell_cap():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert f"exceeds {MAX_DIAGRAM_CELLS} cells" in proc.stderr
+
+
+def test_simulate_render_streams_its_rows():
+    # the largest diagram the cap allows is 128 MB of ascii; written a row at a
+    # time it fits in a 128 MiB address space, and fast
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinklab.cli", "simulate", "--support", "1",
+         "--steps", "8000", "--render", "ascii"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=lambda: _limit_address_space(128 << 20),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(
@@ -398,6 +435,27 @@ def test_simulate_cell_cap_counts_the_diagram(capsys, monkeypatch, argv, cells):
         monkeypatch.setattr(cli, "MAX_DIAGRAM_CELLS", cap)
         code, out, _ = run(capsys, "simulate", *argv, "--render", "ascii")
         assert (code, out == "") == (expected, expected == 2)
+
+
+def test_density_refuses_a_width_over_the_cap(tmp_path):
+    # 2e9 cells would exhaust a 1 GiB address space in the density engine; the
+    # cap refuses before numpy is imported
+    start = time.perf_counter()
+    proc = run_fresh("density", "--width", "2000000000", "--steps", "0", "--trials", "1",
+                     cwd=tmp_path, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"exceeds {cli.MAX_WIDTH} cells" in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_density_out_in_a_missing_directory_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing" / "run"
+    code, out, err = run(capsys, "density", "--width", "131", "--steps", "8",
+                         "--trials", "1", "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(missing) in err
 
 
 @pytest.mark.parametrize("depth", ["1"])

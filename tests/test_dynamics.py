@@ -9,10 +9,8 @@ from kinklab import (
     FiniteSupportConfig,
     R18,
     R90,
-    SpacetimeDiagram,
     iterate_word,
     preimages,
-    render_spacetime,
     rule18_local,
     step_cyclic,
     step_packed,
@@ -22,11 +20,11 @@ from kinklab import (
 )
 from kinklab.errors import (
     BadWord,
-    EmptyDiagram,
     KinklabError,
     WidthTooSmall,
     WordTooShort,
 )
+from kinklab.cli import main
 from kinklab.dynamics import RULE90_TABLE
 from kinklab.preimage import count_preimages, has_preimage
 
@@ -210,23 +208,19 @@ def test_rule90_additivity(n, data):
     assert sx == "".join(str(int(a) ^ int(b)) for a, b in zip(sw, sv))
 
 
-def test_render_ascii():
-    d = SpacetimeDiagram(("101",))
-    assert render_spacetime(d, "ascii") == b"#.#\n"
-    d = SpacetimeDiagram(("1001", "0110"))
-    assert render_spacetime(d, "ascii") == b"#..#\n.##.\n"
+def simulate_stdout(capsys, *argv):
+    assert main(["simulate", *argv]) == 0
+    return capsys.readouterr().out
 
 
-def test_render_pbm_centers_shrinking_rows():
-    d = SpacetimeDiagram(("111", "0"))
-    data = render_spacetime(d, "pbm").decode()
-    lines = data.splitlines()
-    assert lines[0] == "P1"
-    assert lines[1] == "3 2"
-    assert lines[2] == "1 1 1"
-    assert lines[3] == "0 0 0"
+def test_render_ascii(capsys):
+    # the diagram's rows, then the final configuration
+    out = simulate_stdout(capsys, "--cyclic", "101", "--steps", "0", "--render", "ascii")
+    assert out == "#.#\n101\n"
+    out = simulate_stdout(capsys, "--cyclic", "1001", "--steps", "1", "--render", "ascii")
+    assert out == "#..#\n.##.\n0110\n"
 
 
-def test_render_empty_diagram():
-    with pytest.raises(EmptyDiagram):
-        render_spacetime(SpacetimeDiagram(()), "ascii")
+def test_render_pbm_centers_shrinking_rows(capsys):
+    out = simulate_stdout(capsys, "--word", "111", "--steps", "1", "--render", "pbm")
+    assert out == "P1\n3 2\n1 1 1\n0 0 0\n0\n"

@@ -34,7 +34,7 @@ from kinklab import (
 )
 from kinklab.cli import main
 from kinklab.density import _occurrence_counter
-from kinklab.dynamics import spacetime_support, words
+from kinklab.dynamics import words
 from kinklab.kinks import cyclic_kink_counter
 from kinklab.preimage import _automaton
 from kinklab.wordclasses import is_right_unstable
@@ -87,10 +87,17 @@ def _annihilation_steps_reference(s: str) -> int:
     return steps
 
 
-def _spacetime_support(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...], int]:
+def _rendered_support(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...], int]:
+    """The rows of ``kinklab simulate --support ... --render ascii`` and the
+    coordinate of their first cell, the final line's."""
     support, offset, steps, rule = case
-    d = spacetime_support(FiniteSupportConfig(support, offset), steps, rule)
-    return d.rows, d.left
+    buf = io.BytesIO()
+    with redirect_stdout(io.TextIOWrapper(buf)) as out:  # the rows go to its buffer
+        argv = ["simulate", "--support", support, "--offset", str(offset)]
+        assert main([*argv, "--steps", str(steps), "--rule", rule, "--render", "ascii"]) == 0
+        out.flush()
+    *rows, last = buf.getvalue().decode().splitlines()
+    return tuple(r.translate(str.maketrans(".#", "01")) for r in rows), int(last.split(" @ ")[1])
 
 
 def _spacetime_support_per_cell(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...], int]:
@@ -291,7 +298,7 @@ CASES = {
         400,
     ),
     "spacetime_support": Case(
-        _spacetime_support,
+        _rendered_support,
         _spacetime_support_per_cell,
         [("", 0, 3, R18), ("000", 5, 2, R90), ("1", 0, 0, R18), ("1", -3, 5, R90)],
         st.tuples(
