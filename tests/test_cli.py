@@ -39,8 +39,6 @@ def test_simulate_cyclic(capsys):
     code, out, _ = run(capsys, "simulate", "--cyclic", "1001", "--steps", "2")
     assert code == 0
     assert out.strip() == "1001"
-    code, out, _ = run(capsys, "simulate", "--cyclic", "1001", "--steps", "3")
-    assert (code, out) == (0, "0110\n")
 
 
 def test_simulate_support(capsys):
@@ -75,6 +73,21 @@ def test_simulate_support_steps_once(capsys, monkeypatch, render):
 @pytest.mark.parametrize(
     "argv, expected",
     [
+        (["--word", "0010101100101", "--steps", "3"], "1001011\n"),
+        (["--cyclic", "1001", "--steps", "3"], "0110\n"),
+        (["--support", "1101", "--steps", "4", "--offset", "7"], "101010010101 @ 3\n"),
+    ],
+)
+def test_simulate_without_render_builds_no_diagram(capsys, argv, expected):
+    # a diagram costs a row per step; only --render writes one, so without it
+    # stdout is the final state alone
+    code, out, _ = run(capsys, "simulate", *argv)
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
         (["0", "--steps", "3"], "(empty) @ 0\n"),
         (["1", "--steps", "0"], "1 @ 0\n"),
         (["111", "--steps", "2", "--rule", "r90"], "1110111 @ -2\n"),
@@ -85,7 +98,6 @@ def test_simulate_support_steps_once(capsys, monkeypatch, render):
             "0 0 1 0 1 0 0 1 0 1 0 0\n0 1 0 0 0 1 1 0 0 0 1 0\n"
             "1 0 1 0 1 0 0 1 0 1 0 1\n101010010101 @ 3\n",
         ),
-        (["1101", "--steps", "4", "--offset", "7"], "101010010101 @ 3\n"),
     ],
 )
 def test_simulate_support_final_state(capsys, argv, expected):
