@@ -8,6 +8,7 @@ is JSON or CSV.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import dynamics
@@ -105,7 +106,11 @@ def _cmd_simulate(args) -> int:
             line = lambda r: (r.translate(table) + "\n").encode()  # noqa: E731
         else:  # a word's row t, 2t cells short, is centred on t background cells a side
             out.write(f"P1\n{width} {steps + 1}\n".encode())
-            line = lambda r: (" ".join(r.center(width, "0")) + "\n").encode()  # noqa: E731
+            buf = bytearray(b" " * (2 * width - 1) + b"\n")  # cells at the even bytes
+
+            def line(r):
+                buf[: 2 * width : 2] = r.center(width, "0").encode()
+                return buf
     for t in range(steps):
         if line:
             out.write(line(row(t, y)))
@@ -180,6 +185,9 @@ def _cmd_verify(args) -> int:
 def _cmd_density(args) -> int:
     if args.width > MAX_WIDTH:
         raise KinklabError(f"width {args.width} exceeds {MAX_WIDTH} cells")
+    out_dir = os.path.dirname(args.out) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise KinklabError(f"cannot write {args.out}: {out_dir} is not a writable directory")
     from . import density  # imports numpy, which no other command needs
 
     series = density.density_trajectory(args.width, args.steps, args.trials, args.seed)

@@ -188,8 +188,6 @@ def verify_extension_counterexample() -> OracleReport:
         )
     source_family = preimage.enumerate_extensions("0011", 1, 1)
     for e in sorted(source_family.members):
-        if len(e) < 3:
-            continue
         fe = dynamics.step_word(e)
         for start in range(len(e) - 3):
             if e[start : start + 4] == "0011" and fe[start : start + 3] == "101":
@@ -224,25 +222,18 @@ def verify_preimage_reduction_cases(max_k: int = 8) -> OracleReport:
 
 
 def _find_mobility_witness(steps: int, shift: int, max_pad: int):
-    """Search two-kink extensions of 1101001 whose n-step image holds the
-    marker shifted by the given amount (absolute coordinates)."""
+    """Search two-kink a 1101001 b, by |a| + |b|, |a|, a, b, whose n-step image
+    holds the marker shift cells over (|a| >= steps - shift keeps it inside)."""
     marker = "1101001"
     for total in range(2 * steps, 2 * max_pad + 1):
-        for la in range(total + 1):
-            lb = total - la
-            if la > max_pad or lb > max_pad:
-                continue
-            # the marker must survive inside the shrunken word
-            if la + shift - steps < 0:
-                continue
+        for la in range(max(total - max_pad, steps - shift, 0), min(total, max_pad) + 1):
+            pos = la + shift - steps
             for a in words(la):
-                for b in words(lb):
+                for b in words(total - la):
                     u = a + marker + b
                     if kinks.count_kinks(u) != 2:
                         continue
-                    image = dynamics.iterate_word(u, steps)
-                    pos = la + shift - steps
-                    if image[pos : pos + 7] == marker:
+                    if dynamics.iterate_word(u, steps)[pos : pos + 7] == marker:
                         return u
     return None
 
@@ -298,21 +289,17 @@ def verify_flipflop(max_k: int = 2, pad: int = 2) -> OracleReport:
     return _ok("flipflop", budget)
 
 
-def _shaped(w: str, prefix: str, suffix: str) -> bool:
-    """w is a two-kink word beginning with prefix and ending with suffix."""
-    return w.startswith(prefix) and w.endswith(suffix) and kinks.count_kinks(w) == 2
-
-
 def _two_kink_words_shaped(prefix: str, suffix: str, max_length: int) -> list[list[str]]:
     """Two-kink words with the given boundary shape by length up to max_length,
-    each length in lexicographic order.  One depth-first walk over packed heads
-    serves every length (n cells: length n + |suffix|), "1" pushed before "0",
-    cut once a head holds more than two kinks, since a head's kinks are the
-    word's; the lengths where prefix and suffix overlap are tested on strings."""
+    each length in lexicographic order: entry L is the whole shaped set of length
+    L.  One depth-first walk over packed heads serves every length (n cells:
+    length n + |suffix|), "1" pushed before "0", cut once a head holds more than
+    two kinks, since a head's kinks are the word's; where prefix and suffix
+    overlap, the prefix and the count are tested on strings."""
     ls, end = len(suffix), int(suffix or "0", 2)
     groups: list[list[str]] = [[] for _ in range(max_length + 1)]
     for w in [prefix[:head] + suffix for head in range(min(len(prefix), max_length - ls + 1))]:
-        if _shaped(w, prefix, suffix):
+        if w.startswith(prefix) and kinks.count_kinks(w) == 2:
             groups[len(w)].append(w)
     stack = [(len(prefix), int(prefix or "0", 2))] if len(prefix) + ls <= max_length else []
     while stack:
@@ -325,29 +312,20 @@ def _two_kink_words_shaped(prefix: str, suffix: str, max_length: int) -> list[li
     return groups
 
 
-def _backward_survivors(
-    candidates: list[str],
-    prefix: str,
-    suffix: str,
-    step_back: Callable[[str], str],
-) -> set[str]:
-    """Iterate the forced-preimage map |w| times from each candidate w, keeping
-    only words that stay two-kink words of the given boundary shape throughout."""
-    survivors = set()
-    for w in candidates:
-        cur = w
-        for _ in range(len(w)):
-            cur = step_back(cur)
-            if not _shaped(cur, prefix, suffix):
-                break
-        else:
-            survivors.add(w)
-    return survivors
+def _survivors(candidates: list[str], step_back: Callable[[str], str], rounds: int) -> set[str]:
+    """The candidates whose first `rounds` backward steps stay in candidates:
+    each is stepped once, and after k rounds live holds those whose k steps do."""
+    live = {w: step_back(w) for w in candidates}
+    for _ in range(rounds):
+        live = {w: v for w, v in live.items() if v in live}
+    return set(live)
 
 
 def verify_two_kink_backward(max_m: int = 4, max_back_len: int = 17) -> OracleReport:
     """The two-branch double-step constructions for the difficult alternating
-    subcase, plus the backward-forcing uniqueness of the flip-flop endpoints."""
+    subcase, plus the backward-forcing uniqueness of the flip-flop endpoints: at
+    each length L, one expected word of each shape keeps L backward steps inside
+    the length-L shaped set, a fixpoint since both backward maps keep length."""
     budget = _budget(max_m=max_m, max_back_len=max_back_len)
     for m in range(max_m + 1):
         if m % 2 == 0:
@@ -362,18 +340,18 @@ def verify_two_kink_backward(max_m: int = 4, max_back_len: int = 17) -> OracleRe
                 f"f^2 gave {image}, expected {target} (m={m})",
             )
 
-    # Endpoint shape A maps w to the reversal of one forward step of 00·w, shape
-    # B to two forward steps of 00·w·00; one survivor at lengths base + 6j.
+    # Shape A steps back by reversing one step of 00·w, shape B by two steps of
+    # 00·w·00; from length |1100| = 4 on, one survivor at lengths base + 6j.
     shapes = (
-        ("A", 5, "1001", lambda w: dynamics.step_word("00" + w)[::-1],
+        ("A", "1001", lambda w: dynamics.step_word("00" + w)[::-1],
          5, lambda j: "1" + "100010" * j + "1001"),
-        ("B", 6, "0011", lambda w: dynamics.iterate_word("00" + w + "00", 2),
+        ("B", "0011", lambda w: dynamics.iterate_word("00" + w + "00", 2),
          7, lambda j: "11000" + "101000" * j + "11"),
     )
-    for shape, first, suffix, step_back, base, survivor in shapes:
+    for shape, suffix, step_back, base, survivor in shapes:
         candidates = _two_kink_words_shaped("1100", suffix, max_back_len)
-        for length in range(first, max_back_len + 1):
-            survivors = _backward_survivors(candidates[length], "1100", suffix, step_back)
+        for length in range(4, max_back_len + 1):
+            survivors = _survivors(candidates[length], step_back, length)
             j, r = divmod(length - base, 6)
             expected = {survivor(j)} if r == 0 else set()
             if survivors != expected:
@@ -429,17 +407,8 @@ PROFILES: dict[str, dict[str, dict]] = {
     },
 }
 
-_ORACLES: dict[str, Callable[..., OracleReport]] = {
-    "figure_iterates": verify_figure_iterates,
-    "kink_elimination_parity": verify_kink_elimination_parity,
-    "annihilation": verify_annihilation,
-    "extension_counterexample": verify_extension_counterexample,
-    "preimage_reduction_cases": verify_preimage_reduction_cases,
-    "mobility": verify_mobility,
-    "flipflop": verify_flipflop,
-    "two_kink_backward": verify_two_kink_backward,
-    "separation": verify_separation,
-}
+# every profile names the same checks; check name runs verify_<name>
+_ORACLES = {name: globals()[f"verify_{name}"] for name in PROFILES["full"]}
 
 
 def run_all(budget: str = "quick") -> list[OracleReport]:

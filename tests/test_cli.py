@@ -470,6 +470,19 @@ def test_density_out_in_a_missing_directory_exit_2(capsys, tmp_path):
     assert err.startswith("error: ") and str(missing) in err
 
 
+def test_density_out_in_a_missing_directory_is_refused_before_the_run(tmp_path):
+    # a run of minutes would fail only at its first write; the directory is
+    # checked before the density engine is imported
+    start = time.perf_counter()
+    proc = run_fresh("density", "--width", "1048576", "--steps", "100000", "--trials", "4",
+                     "--out", str(tmp_path / "missing" / "run"))
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "density" not in loaded_submodules(proc)
+
+
 @pytest.mark.parametrize("depth", ["1"])
 def test_preimage_refuses_exponential_output(depth):
     # 0^40 has 701,408,734 preimages: enumerating them would exhaust memory,

@@ -5,7 +5,7 @@ import pytest
 
 from kinklab import OracleStatus, find_kinks, run_all
 from kinklab import oracles
-from kinklab.dynamics import padded, words
+from kinklab.dynamics import iterate_word, padded, step_word, words
 from kinklab.preimage import has_preimage, preimages
 
 
@@ -28,6 +28,14 @@ def test_report_json_round_trip():
     assert payload["check"] == r.check
     assert payload["status"] == "Pass"
     assert "budget" in payload
+
+
+def test_profiles_name_the_same_checks_each_with_a_verify_function():
+    assert list(oracles.PROFILES) == ["quick", "full"]
+    quick, full = (set(profile) for profile in oracles.PROFILES.values())
+    assert quick == full and len(full) == 9
+    for name in full:
+        assert oracles._ORACLES[name] is getattr(oracles, f"verify_{name}")
 
 
 @pytest.mark.parametrize("name", sorted(oracles._ORACLES))
@@ -82,17 +90,59 @@ def test_mobility_budget_reports(monkeypatch):
 
 
 def test_two_kink_backward_failure_reports(monkeypatch):
-    real = oracles._backward_survivors
+    # a shaped set missing a shape's first survivor: nothing survives there
+    real = oracles._two_kink_words_shaped
     for lost, detail in [
-        ("1001", "shape-A survivors at length 5 differ from ['11001']"),
-        ("0011", "shape-B survivors at length 7 differ from ['1100011']"),
+        ("11001", "shape-A survivors at length 5 differ from ['11001']"),
+        ("1100011", "shape-B survivors at length 7 differ from ['1100011']"),
     ]:
-        def survivors(candidates, prefix, suffix, step_back, lost=lost):
-            return set() if suffix == lost else real(candidates, prefix, suffix, step_back)
+        def shaped(prefix, suffix, max_length, lost=lost):
+            return [[w for w in g if w != lost] for g in real(prefix, suffix, max_length)]
 
-        monkeypatch.setattr(oracles, "_backward_survivors", survivors)
+        monkeypatch.setattr(oracles, "_two_kink_words_shaped", shaped)
         r = oracles.verify_two_kink_backward(0, 13)
         assert (r.status, r.witness, r.detail) == (OracleStatus.FAIL, "(empty)", detail)
+
+
+# the backward maps of verify_two_kink_backward, by shape suffix
+STEP_BACK = {
+    "1001": lambda w: step_word("00" + w)[::-1],
+    "0011": lambda w: iterate_word("00" + w + "00", 2),
+}
+
+
+def _backward_survivors_walk(candidates, prefix, suffix, step_back):
+    """The per-candidate walk that _survivors replaced, kept as its reference:
+    step each candidate w back |w| times, keeping it only while every step is a
+    two-kink word of the given boundary shape."""
+    survivors = set()
+    for w in candidates:
+        cur = w
+        for _ in range(len(w)):
+            cur = step_back(cur)
+            if not (cur.startswith(prefix) and cur.endswith(suffix) and len(find_kinks(cur)) == 2):
+                break
+        else:
+            survivors.add(w)
+    return survivors
+
+
+@pytest.mark.parametrize("suffix", sorted(STEP_BACK))
+def test_survivors_fixpoint_matches_the_walk(suffix):
+    groups = oracles._two_kink_words_shaped("1100", suffix, 21)
+    for length, group in enumerate(groups):
+        expected = _backward_survivors_walk(group, "1100", suffix, STEP_BACK[suffix])
+        assert oracles._survivors(group, STEP_BACK[suffix], length) == expected, length
+
+
+def test_survivors_counts_its_rounds():
+    # negative control: a chain of same-length words whose last step leaves the
+    # set; chain[i] stays inside for 4 - i steps, so after r rounds chain[4 - r]
+    # survives and chain[5 - r], one step closer to the exit, does not
+    chain = ["0000", "0001", "0010", "0011", "0100"]
+    step = dict(zip(chain, chain[1:] + ["0101"])).__getitem__
+    for rounds in range(len(chain) + 2):
+        assert oracles._survivors(chain, step, rounds) == set(chain[: max(5 - rounds, 0)])
 
 
 def test_figure_iterates_detects_corrupted_rule(monkeypatch):
