@@ -6,10 +6,10 @@ each trial's cells depend on nothing but the seed and its index.
 
 The engine is bit-parallel ("multi-spin" coding): a trial's configuration is
 one Python int, bit i holding cell i, stepped by ``dynamics.step_cyclic_packed``
-(two rotations, an xor and a mask).  Observables read the word doubled,
-``x | x << width``, so every cyclic window is an ordinary bit range.  The kink
-count is ``kinks.cyclic_kink_counter``; the string engines ``step_cyclic`` and
-``count_kinks_cyclic`` share no code with this engine and are its references.
+(two rotations and an xor) and counted by ``kinks.cyclic_kink_counter``, both at
+single width.  Word frequencies read x extended by its first |w| - 1 cells, so
+every cyclic window of w is an ordinary bit range.  The string engines ``step_cyclic``
+and ``count_kinks_cyclic`` share no code with this engine and are its references.
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ def sample_uniform(width: int, seed: int) -> CyclicConfig:
 
 
 def _occurrence_counter(w: str, width: int) -> Callable[[int], int]:
-    """Cyclic occurrences of w in a packed configuration: the AND, over k, of
-    the doubled word shifted by k, complemented where ``w[k]`` is 0."""
+    """Cyclic occurrences of w in a packed configuration: the AND, over k, of x
+    extended by its first |w| - 1 cells, shifted by k, complemented where ``w[k]`` is 0."""
+    wrap, ext = (1 << len(w) - 1) - 1, (1 << width + len(w) - 1) - 1
+
     def count(x: int) -> int:
-        d = x | x << width
-        hits = (1 << width) - 1
+        d = x | (x & wrap) << width
+        hits, nd = ext, d ^ ext
         for k, ch in enumerate(w):
-            hits &= d >> k if ch == "1" else ~d >> k
+            hits &= (d if ch == "1" else nd) >> k
         return hits.bit_count()
 
     return count

@@ -2,7 +2,7 @@
 configurations; ``kinklab simulate`` writes a run's diagram a row per step.
 
 Words are plain Python strings over {0, 1}.  Each geometry steps one packed int
-with a few shifts and a mask: ``step_packed`` on a 0 background (words and
+with a few shifts and bitwise ops: ``step_packed`` on a 0 background (words and
 supports), ``step_cyclic_packed`` on a cycle.  The string engines
 ``step_word_scalar``, ``step_cyclic`` and ``step_support`` are their references.
 """
@@ -72,15 +72,16 @@ def step_packed(x: int, rule: str = R18) -> int:
 
 
 def step_cyclic_packed(x: int, width: int, rule: str = R18) -> int:
-    """One step of the cycle in the low ``width`` bits of x, on the rotated
-    words.  Both rules are mirror-symmetric, so bit i may hold cell i or cell
-    width - 1 - i."""
+    """One step of the cycle held in x < 2**width: each rotation is a shift with
+    the bit it pushes out moved to the other end.  Both rules are mirror-symmetric,
+    so bit i may hold cell i or cell width - 1 - i."""
     top = width - 1
-    lanes = (x << 1 | x >> top) ^ (x >> 1 | x << top)
+    h = x >> top
+    lanes = x << 1 ^ x >> 1 ^ (h | h << width) ^ (x & 1) << top
     if rule == R18:
-        return ~x & lanes & (1 << width) - 1
+        return lanes ^ (lanes & x)
     if rule == R90:
-        return lanes & (1 << width) - 1
+        return lanes
     raise ValueError(f"unknown rule {rule!r}")
 
 

@@ -41,12 +41,11 @@ def find_kinks(w: str) -> list[KinkOccurrence]:
 
 
 def _odd_distance(d: int, full: int, even: int) -> int:
-    """The bits whose last lower 1 in d lies at odd distance, ``even`` being
-    alternate bits up to ``full``: in ``g + (g | zeros)``, g = d & even, a 1 in
-    g generates a carry, another 1 kills it and a 0 passes it on."""
-    g = d & even
-    p = g | (full ^ d)
-    return (g + p) ^ g ^ p ^ even
+    """On the 1s of d, the bits whose last lower 1 in d lies at odd distance,
+    ``even`` being alternate bits up to ``full`` >= d; other bits are noise.  In
+    ``2g + (full - d) = g + (g | zeros)``, g = d & even, a 1 in g generates a
+    carry, another 1 kills it and a 0 passes it on."""
+    return ((d & even) * 2 + full - d) ^ even
 
 
 def count_kinks_packed(x: int) -> int:
@@ -66,34 +65,32 @@ def count_kinks(w: str) -> int:
 
 
 def cyclic_kink_counter(width: int) -> Callable[[int], int]:
-    """Cyclic kink count of a packed configuration, bit i holding cell i: the
-    1s whose cyclic predecessor 1 lies at odd distance, read on the upper copy
-    of the doubled word; none with fewer than two 1s (``gap <= width - 2``)."""
-    full = (1 << 2 * width) - 1
+    """Cyclic kink count of a packed configuration x < 2**width, bit i holding
+    cell i (reference: ``count_kinks_cyclic``): the 1s whose cyclic predecessor
+    1 lies at odd distance.  Every 1 but the lowest reads its predecessor in x
+    itself; the lowest wraps to the highest, and a lone 1 to itself."""
+    full = (1 << width) - 1
     even = full // 3
 
     def count(x: int) -> int:
-        if x & (x - 1) == 0:
+        if not x:
             return 0
-        return (_odd_distance(x | x << width, full, even) >> width & x).bit_count()
+        rest = x & (x - 1)
+        wrap = width - x.bit_length() + (x ^ rest).bit_length()  # wrap gap + 1
+        return (_odd_distance(x, full, even) & rest).bit_count() + (wrap & 1)
 
     return count
 
 
 def count_kinks_cyclic(x: CyclicConfig) -> int:
-    """Kink occurrences read cyclically; the gap is capped at width - 2 so a
-    kink never wraps past its own left border."""
-    width = x.width
-    ones = [i for i, ch in enumerate(x.bits) if ch == "1"]
-    if not ones:
+    """Kinks of the periodic configuration x^∞ per period: the even gaps between
+    cyclically consecutive 1s, the first and last pieces joined as the wrap gap.
+    On an odd cycle a lone 1 bounds one kink with its own next copy."""
+    pieces = x.bits.split("1")
+    if len(pieces) == 1:
         return 0
-    count = 0
-    for j, p in enumerate(ones):
-        q = ones[(j + 1) % len(ones)]
-        gap = (q - p - 1) % width
-        if gap % 2 == 0 and gap <= width - 2:
-            count += 1
-    return count
+    inner = sum(1 for gap in pieces[1:-1] if len(gap) % 2 == 0)
+    return inner + ((len(pieces[0]) + len(pieces[-1])) % 2 == 0)
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,14 @@ def test_density_outputs(capsys, tmp_path):
     assert "d_0 = " in out
 
 
+def test_density_on_an_odd_cycle_with_a_lone_1(capsys, tmp_path):
+    # trial 2 of seed 0 is 01000, one kink at width 5, and steps to 10100, one kink
+    code, out, err = run(capsys, "density", "--width", "5", "--steps", "1", "--trials", "3",
+                         "--seed", "0", "--out", str(tmp_path / "odd"))
+    assert code == 0, err
+    assert (tmp_path / "odd.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -252,7 +252,8 @@ CASES = {
     "cyclic_kink_counter": Case(
         lambda bits: cyclic_kink_counter(len(bits))(_pack(bits)),
         lambda bits: count_kinks_cyclic(CyclicConfig(bits)),
-        [],
+        # a lone 1 at odd and even width, all ones, width 3
+        ["10000", "00100", "1000", "0001", "111111", "11111", "000", "100", "010", "101", "111"],
         cyclic_words,
         400,
     ),
@@ -325,6 +326,16 @@ CASES = {
         None,
     ),
 }
+
+
+def test_cyclic_kink_counter_on_every_small_cycle():
+    """Every cycle of width 3 to 12: the packed count equals the string scan,
+    and one rule-18 step never raises it."""
+    for width in range(3, 13):
+        count = cyclic_kink_counter(width)
+        for x in range(1 << width):
+            assert count(x) == count_kinks_cyclic(CyclicConfig(_unpack(x, width))), (width, x)
+            assert count(step_cyclic_packed(x, width, R18)) <= count(x), (width, x)
 
 
 @pytest.mark.parametrize("name", CASES)

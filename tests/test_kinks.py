@@ -57,8 +57,9 @@ def test_count_kinks_cyclic_examples():
     assert count_kinks_cyclic(CyclicConfig("0101")) == 0
     assert count_kinks_cyclic(CyclicConfig("1111")) == 4
     assert count_kinks_cyclic(CyclicConfig("0000")) == 0
-    # a single 1 cannot bound a kink with itself
-    assert count_kinks_cyclic(CyclicConfig("10000")) == 0
+    # a lone 1 is (1 0^(w-1))^∞: one kink per period when the width w is odd
+    assert count_kinks_cyclic(CyclicConfig("10000")) == 1
+    assert count_kinks_cyclic(CyclicConfig("1000")) == 0
 
 
 def test_two_kink_decompose_examples():
