@@ -19,14 +19,17 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-# preimage --depth 1 enumerates at most this many preimages: the count grows
-# exponentially in |w| (0^40 has 701,408,734); deeper probes enumerate none.
-MAX_PREIMAGES = 1 << 16
-
 # simulate --render writes at most this many cells, a row at a time, so the cap
 # bounds the output, not memory: 8,000 steps of --support 1 (128,024,001 cells)
 # write 128 MB of ascii or 256 MB of pbm (2 bytes a cell).
 MAX_DIAGRAM_CELLS = 1 << 27
+
+# preimage --depth 1 writes at most this many cells, count x (|w| + 2), about
+# 1.3 MB of JSON: 0^20 (46,369 x 22 cells) is written in 0.3 s, "10001" * 3 +
+# "10" * 65520 (8 x 131,057 cells, near the argv limit) in 3.5 s.  0^40
+# (701,408,734 preimages) and "10001" * 12 + "10" * 20000 (4,096 x 40,062 cells,
+# 205 s uncapped) are refused at once; deeper probes write none.
+MAX_PREIMAGE_CELLS = 1 << 20
 
 # density --width is at most this: with --steps 0 --trials 1 a run peaks at
 # 38 MB RSS at 2^20 cells, 86 MB at 2^24, 242 MB at 2^26 and 802 MB at 2^28
@@ -159,11 +162,9 @@ def _cmd_preimage(args) -> int:
         raise KinklabError(f"depth must be between 1 and {preimage.MAX_DEPTH}, got {args.depth}")
     if args.depth == 1:
         count = preimage.count_preimages(w)
-        if count > MAX_PREIMAGES:
-            raise KinklabError(
-                f"{w!r} has {count} preimages, more than the {MAX_PREIMAGES} "
-                "the preimage command enumerates"
-            )
+        if (cells := count * (len(w) + 2)) > MAX_PREIMAGE_CELLS:
+            raise KinklabError(f"{count} preimages of {len(w) + 2} cells make {cells} cells, "
+                               f"more than the {MAX_PREIMAGE_CELLS} the preimage command writes")
         print(json.dumps(list(preimage.preimages(w).members)))
     else:
         print(json.dumps(preimage.preimage_depth(w, args.depth)))

@@ -87,44 +87,32 @@ def _reach_masks(w: str, d: int = 1):
         yield r
 
 
-@cache
-def _moves() -> dict[str, list[list[tuple[str, int]]]]:
-    """moves[t][s]: the (c, next state) moves of depth 1 from s that emit t;
-    moves[t + c] keeps those that append c."""
-    windows, _ = _automaton(1)
-    moves = {t + c: [[], [], [], []] for t in "01" for c in ("", "0", "1")}
-    for x in range(7, -1, -1):  # c = "1" first, so that a stack walk pops "0" first
-        t, c = str(windows["1"] >> x & 1), str(x & 1)
-        for key in (t, t + c):
-            moves[key][x >> 1].append((c, x & 3))
-    return moves
-
-
 def _walk(w: str, at: int = 0, pin: str = "") -> list[str]:
-    """Every u with step_word(u) = w and u[at : at + len(pin)] = pin, in
-    lexicographic order.  A branch ends at its first cell off pin, so the walk
-    takes at most 2^(|w| + 2 - len(pin)) branches."""
+    """Every u with step_word(u) = w and u[at + j] = pin[j] wherever that cell
+    lies in u, in lexicographic order.  A branch ends at its first cell off
+    pin, so the walk takes at most 2^(|w| + 2 - len(pin)) branches."""
     reach = [*_reach_masks(w)][::-1]
-    moves = _moves()
-    # layer i's moves append cell i + 2; where it is pinned, only those that fit
-    layers = [
-        moves[t + pin[j] if 0 <= (j := i + 2 - at) < len(pin) else t] for i, t in enumerate(w)
-    ]
+    windows, _ = _automaton(1)
     n = len(w)
+    # fits[k]: the values cell k may take, as bits
+    fits = [1 << int(pin[k - at]) if 0 <= k - at < len(pin) else 3 for k in range(n + 2)]
+    # nxt[i][s]: the cells c, as bits, that layer i appends from state s: window
+    # 2s + c emits w[i], state 2(s & 1) + c is in reach and cell i + 2 fits c
+    nxt = [[windows[t] >> 2 * s & reach[i + 1] >> 2 * (s & 1) & fits[i + 2] for s in range(4)]
+           for i, t in enumerate(w)]
     members: list[str] = []
-    stack = [
-        (0, s, p)
-        for s in range(3, -1, -1)
-        if reach[0] >> s & 1 and pin.startswith((p := format(s, "02b"))[at : at + len(pin)])
-    ]
-    while stack:  # depth first, smaller bits popped first: lexicographic
+    stack = [(0, s, format(s, "02b")) for s in range(3, -1, -1)
+             if reach[0] >> s & fits[0] >> (s >> 1) & fits[1] >> (s & 1) & 1]
+    while stack:  # depth first, "0" pushed last and popped first: lexicographic
         i, s, prefix = stack.pop()
         if i == n:
             members.append(prefix)
             continue
-        for c, ns in layers[i][s]:
-            if reach[i + 1] >> ns & 1:
-                stack.append((i + 1, ns, prefix + c))
+        m, h = nxt[i][s], (s & 1) << 1
+        if m & 2:
+            stack.append((i + 1, h | 1, prefix + "1"))
+        if m & 1:
+            stack.append((i + 1, h, prefix + "0"))
     return members
 
 
@@ -135,15 +123,14 @@ def preimages(w: str) -> PreimageSet:
 
 def count_preimages(w: str) -> int:
     """len(preimages(w)) without enumerating: per layer, the number of walks
-    ending in each overlap state, in Python ints, O(|w|)."""
-    moves = _moves()
+    ending in each overlap state, in Python ints, O(|w|).  Windows s and s | 4
+    end in state s, from states s >> 1 and s >> 1 | 2."""
+    windows, _ = _automaton(1)
     counts = [1] * 4
     for t in _check_target(w):
-        nxt = [0] * 4
-        for s, ms in enumerate(moves[t]):
-            for _, ns in ms:
-                nxt[ns] += counts[s]
-        counts = nxt
+        x = windows[t]
+        counts = [(x >> s & 1) * counts[s >> 1] + (x >> (s | 4) & 1) * counts[s >> 1 | 2]
+                  for s in range(4)]
     return sum(counts)
 
 
@@ -161,9 +148,7 @@ def preimage_depth(w: str, d: int) -> bool:
     if d == 0:
         check_word(w)
         return True
-    for r in _reach_masks(w, d):  # keeps only the running mask
-        pass
-    return r != 0
+    return all(_reach_masks(w, d))  # a dead mask stays dead: stop at the first
 
 
 @dataclass(frozen=True)

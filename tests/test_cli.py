@@ -12,7 +12,7 @@ import pytest
 import kinklab
 from kinklab import cli, dynamics
 from kinklab.cli import MAX_DIAGRAM_CELLS, main
-from kinklab.preimage import MAX_DEPTH
+from kinklab.preimage import MAX_DEPTH, count_preimages, preimages
 
 SRC = str(Path(kinklab.__file__).resolve().parents[1])
 
@@ -500,6 +500,24 @@ def test_preimage_refuses_exponential_output(depth):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "701408734 preimages" in proc.stderr
+
+
+def test_preimage_refuses_output_over_the_cell_cap():
+    # 4,096 preimages of 40,062 cells: few members, but 164 MB of output that
+    # takes minutes to write; the cap counts cells, so the refusal is quick
+    proc = run_fresh("preimage", "10001" * 12 + "10" * 20000,
+                     preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"4096 preimages of 40062 cells make {4096 * 40062} cells" in proc.stderr
+
+
+def test_preimage_writes_output_under_the_cell_cap(capsys):
+    # 0^20 has 46,369 preimages of 22 cells, just under the cap
+    assert count_preimages("0" * 20) * 22 <= cli.MAX_PREIMAGE_CELLS
+    code, out, _ = run(capsys, "preimage", "0" * 20)
+    assert code == 0
+    assert out == json.dumps(list(preimages("0" * 20).members)) + "\n"
 
 
 def test_preimage_depth_probe_ignores_preimage_count():

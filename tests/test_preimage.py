@@ -14,6 +14,7 @@ from kinklab import (
     check_stable_extension,
     count_kinks,
     enumerate_extensions,
+    preimage,
     preimage_depth,
     preimages,
     step_word,
@@ -108,6 +109,37 @@ def test_preimage_depth_matches_brute_force():
         images = {m: {step_word_scalar(u) for u in images[m + 2]} for m in range(1, 15 - 2 * d)}
         for w in (w for m in range(1, 9) for w in words(m)):
             assert preimage_depth(w, d) == (w in images[len(w)]), (w, d)
+
+
+def test_preimage_depth_stops_at_the_first_dead_mask(monkeypatch):
+    # 111 has no preimage, so the mask dies within its three layers and the
+    # thousand zeros before it are never read
+    yielded = []
+    reach_masks = preimage._reach_masks
+
+    def counting(w, d=1):
+        for r in reach_masks(w, d):
+            yielded.append(r)
+            yield r
+
+    monkeypatch.setattr(preimage, "_reach_masks", counting)
+    assert not preimage_depth("0" * 1000 + "111", 1)
+    assert len(yielded) <= 5
+
+
+def test_pinned_walk_matches_brute_force():
+    # every pin of up to 3 cells at every offset, also one that runs past the
+    # end of u: only the pinned cells inside u filter the preimages
+    pins = [p for m in range(4) for p in words(m)]  # "" included
+    for n in range(1, 6):
+        for w in words(n):
+            expected = brute_force_preimages(w)
+            for at in range(n + 4):
+                for pin in pins:
+                    inside = [(at + j, c) for j, c in enumerate(pin) if at + j < n + 2]
+                    assert preimage._walk(w, at, pin) == [
+                        u for u in expected if all(u[k] == c for k, c in inside)
+                    ], (w, at, pin)
 
 
 def test_enumerate_extensions_examples():
