@@ -52,6 +52,8 @@ def rule18_local(a: int, b: int, c: int) -> int:
 def step_word(w: str, rule: str = R18) -> str:
     """One synchronous step on a finite word; output is 2 symbols shorter:
     ``step_packed`` on the word packed into an int, without the border cells."""
+    if rule not in (R18, R90):
+        raise ValueError(f"unknown rule {rule!r}")
     n = len(check_word(w))
     if n < 3:
         raise WordTooShort(f"cannot step word of length {n} < 3")
@@ -87,6 +89,8 @@ def step_cyclic_packed(x: int, width: int, rule: str = R18) -> int:
 
 def step_word_scalar(w: str, rule: str = R18) -> str:
     """Naive triple-loop reference used to cross-check the bit-parallel path."""
+    if rule not in (R18, R90):
+        raise ValueError(f"unknown rule {rule!r}")
     check_word(w)
     if len(w) < 3:
         raise WordTooShort(f"cannot step word of length {len(w)} < 3")
@@ -99,6 +103,8 @@ def step_word_scalar(w: str, rule: str = R18) -> str:
 
 
 def iterate_word(w: str, n: int, rule: str = R18) -> str:
+    if rule not in (R18, R90):
+        raise ValueError(f"unknown rule {rule!r}")
     check_word(w)
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -166,9 +172,7 @@ def step_support(x: FiniteSupportConfig, rule: str = R18) -> FiniteSupportConfig
     """Step the whole bi-infinite configuration.
 
     Padding the support with two background zeros on each side and stepping it
-    as a word is exact, since both rules map neighborhood 000 to 0.
+    as a word is exact, also when it is empty, since both rules map 000 to 0.
     """
-    if not x.support:
-        return x
     stepped = step_word("00" + x.support + "00", rule)
     return FiniteSupportConfig(stepped, x.offset - 1)

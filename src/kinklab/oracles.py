@@ -140,9 +140,7 @@ def verify_annihilation(max_support: int = 12, max_steps: int = 4096) -> OracleR
     keeps the right end at bit 0, so translates share a key) to 2 * (steps
     left) + (final count); a walk reaching one takes that tail if it fits."""
     budget = _budget(max_support=max_support, max_steps=max_steps)
-    supports = chain((0, 1)[: max_support + 1], (
-        1 << n + 1 | m << 1 | 1 for n in range(max_support - 1) for m in range(1 << n)
-    ))
+    supports = chain((0,), range(1, 1 << max_support, 2))  # 1 and 1…1 by length, then value
     finished: dict[int, int] = {}
     for s in supports:
         path, x, m = [], s, kinks.count_kinks_packed(s)
@@ -178,23 +176,14 @@ def verify_annihilation(max_support: int = 12, max_steps: int = 4096) -> OracleR
 def verify_extension_counterexample() -> OracleReport:
     """101 extends step(0011) = 10 without new kinks, yet no kink-preserving
     extension of 0011 maps onto it: the published permuting claim fails on
-    unstable words."""
+    unstable words.  check_stable_extension lists such u = a·10·b, |a|, |b| <= 1;
+    a cell left of 0011 adds the kink 1001 or changes nothing, so pads=1 is all."""
     budget = _budget(pads=1)
-    target_family = preimage.enumerate_extensions("10", 1, 1)
-    if "101" not in target_family.members:
+    if "101" not in preimage.check_stable_extension("0011", 1).counterexamples:
         return _fail(
             "extension_counterexample", budget, "101",
-            "101 is unexpectedly not a kink-preserving extension of 10",
+            "101 is not listed as a kink-preserving extension of 10 with no lift through 0011",
         )
-    source_family = preimage.enumerate_extensions("0011", 1, 1)
-    for e in sorted(source_family.members):
-        fe = dynamics.step_word(e)
-        for start in range(len(e) - 3):
-            if e[start : start + 4] == "0011" and fe[start : start + 3] == "101":
-                return _fail(
-                    "extension_counterexample", budget, e,
-                    f"found a lift: step({e}) reaches 101",
-                )
     return _ok("extension_counterexample", budget)
 
 
@@ -292,22 +281,20 @@ def verify_flipflop(max_k: int = 2, pad: int = 2) -> OracleReport:
 def _two_kink_words_shaped(prefix: str, suffix: str, max_length: int) -> list[list[str]]:
     """Two-kink words with the given boundary shape by length up to max_length,
     each length in lexicographic order: entry L is the whole shaped set of length
-    L.  One depth-first walk over packed heads serves every length (n cells:
-    length n + |suffix|), "1" pushed before "0", cut once a head holds more than
-    two kinks, since a head's kinks are the word's; where prefix and suffix
-    overlap, the prefix and the count are tested on strings."""
-    ls, end = len(suffix), int(suffix or "0", 2)
+    L.  One depth-first walk from the empty packed head serves every length (n
+    cells: length n + |suffix|): a head shorter than the prefix takes its next
+    cell, a longer one "1" pushed before "0"; a head's kinks are the word's, so
+    a branch is cut once they pass two."""
+    lp, p, ls, end = len(prefix), int(prefix or "0", 2), len(suffix), int(suffix or "0", 2)
     groups: list[list[str]] = [[] for _ in range(max_length + 1)]
-    for w in [prefix[:head] + suffix for head in range(min(len(prefix), max_length - ls + 1))]:
-        if w.startswith(prefix) and kinks.count_kinks(w) == 2:
-            groups[len(w)].append(w)
-    stack = [(len(prefix), int(prefix or "0", 2))] if len(prefix) + ls <= max_length else []
+    stack = [(0, 0)] if ls <= max_length else []
     while stack:
-        n, w = stack.pop()
-        if kinks.count_kinks_packed(w << ls | end) == 2:
-            groups[n + ls].append(f"{w << ls | end:0{n + ls}b}")
+        n, h = stack.pop()
+        w = h << ls | end
+        if (n >= lp or n + ls >= lp and w >> n + ls - lp == p) and kinks.count_kinks_packed(w) == 2:
+            groups[n + ls].append(f"{w:0{n + ls}b}")
         if n + ls < max_length:
-            children = (w << 1 | 1, w << 1)
+            children = (h << 1 | 1, h << 1) if n >= lp else (p >> lp - n - 1,)
             stack += [(n + 1, v) for v in children if kinks.count_kinks_packed(v) <= 2]
     return groups
 

@@ -135,8 +135,8 @@ def count_preimages(w: str) -> int:
 
 
 def has_preimage(w: str) -> bool:
-    """Existence-only variant of preimages(), O(|w|)."""
-    return preimage_depth(w, 1)
+    """Existence-only variant of preimages(), O(|w|): no reach mask is empty."""
+    return all(_reach_masks(w))
 
 
 def preimage_depth(w: str, d: int) -> bool:

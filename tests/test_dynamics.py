@@ -13,6 +13,7 @@ from kinklab import (
     preimages,
     rule18_local,
     step_cyclic,
+    step_cyclic_packed,
     step_packed,
     step_support,
     step_word,
@@ -170,6 +171,34 @@ def test_step_support_examples():
     assert (c.support, c.offset) == ("1001", 4)
     empty = FiniteSupportConfig("")
     assert step_support(empty) == empty
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda rule: step_word("101", rule),
+        lambda rule: step_word("1", rule),
+        lambda rule: step_word_scalar("101", rule),
+        lambda rule: step_word_scalar("", rule),
+        lambda rule: iterate_word("10110", 0, rule),
+        lambda rule: iterate_word("", 0, rule),
+        lambda rule: iterate_word("10110", 1, rule),
+        lambda rule: step_packed(0b101, rule),
+        lambda rule: step_cyclic_packed(0b101, 3, rule),
+        lambda rule: step_cyclic(CyclicConfig("101"), rule),
+        lambda rule: step_support(FiniteSupportConfig(""), rule),
+        lambda rule: step_support(FiniteSupportConfig("101", 4), rule),
+    ],
+    ids=[
+        "step_word", "step_word-short", "step_word_scalar", "step_word_scalar-empty",
+        "iterate_word-0", "iterate_word-0-empty", "iterate_word-1", "step_packed",
+        "step_cyclic_packed", "step_cyclic", "step_support-empty", "step_support",
+    ],
+)
+def test_unknown_rule_raises_value_error(step):
+    # checked before the word, so no early return or word error comes first
+    with pytest.raises(ValueError, match="unknown rule 'r30'"):
+        step("r30")
 
 
 def test_step_packed_rejects_negative():

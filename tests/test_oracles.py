@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -355,6 +356,26 @@ def test_annihilation_faults_match_plain_walk(monkeypatch):
     assert report.to_json() == _annihilation_plain(9, 4096).to_json()
 
 
+def test_extension_counterexample_fails_without_101(monkeypatch):
+    # negative control: a stable-extension report that does not list 101
+    real = oracles.preimage.check_stable_extension
+
+    def without_101(w, pad):
+        r = real(w, pad)
+        return dataclasses.replace(
+            r, counterexamples=tuple(u for u in r.counterexamples if u != "101")
+        )
+
+    monkeypatch.setattr(oracles.preimage, "check_stable_extension", without_101)
+    report = oracles.verify_extension_counterexample()
+    assert report.status is OracleStatus.FAIL
+    assert report.witness == "101"
+    assert report.detail == (
+        "101 is not listed as a kink-preserving extension of 10 with no lift through 0011"
+    )
+    assert report.budget == {"pads": 1}
+
+
 def _two_kink_words_shaped_template(prefix, suffix, length):
     """The template-and-free-cells generator that _two_kink_words_shaped
     replaced, kept as its reference."""
@@ -382,7 +403,8 @@ def _two_kink_words_shaped_template(prefix, suffix, length):
     "prefix, suffix",
     [
         ("1100", "1001"), ("1100", "0011"), ("11", "1"), ("101", "0101"), ("1", "111"),
-        ("111", "1"), ("1001", "11"),
+        ("111", "1"), ("1001", "11"), ("", "11"), ("11", ""), ("1101", "011"),
+        ("0011", "1100"),
     ],
 )
 def test_two_kink_words_shaped_matches_template(prefix, suffix):

@@ -127,6 +127,16 @@ def test_preimage_depth_stops_at_the_first_dead_mask(monkeypatch):
     assert len(yielded) <= 5
 
 
+def test_has_preimage_is_not_booked_as_a_depth_probe(monkeypatch):
+    # the tracer wraps preimage_depth by name: an existence probe through it
+    # would be counted as a depth probe
+    calls = []
+    depth = preimage.preimage_depth
+    monkeypatch.setattr(preimage, "preimage_depth", lambda *a: calls.append(a) or depth(*a))
+    assert has_preimage("11") and not has_preimage("111")
+    assert calls == []
+
+
 def test_pinned_walk_matches_brute_force():
     # every pin of up to 3 cells at every offset, also one that runs past the
     # end of u: only the pinned cells inside u filter the preimages
@@ -185,6 +195,11 @@ def test_check_stable_extension_unstable_counterexample():
         "00001100", "0001100", "001100", "10001100", "101", "1010",
         "0101", "01010", "00101", "10101", "001010", "101010",
     )
+
+
+def test_check_stable_extension_one_pad_counterexamples():
+    # the answer verify_extension_counterexample reads: 101 is listed
+    assert check_stable_extension("0011", 1).counterexamples == ("101", "0101")
 
 
 def test_check_stable_extension_excluded_form():
