@@ -189,6 +189,10 @@ def _cmd_density(args) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise KinklabError(f"cannot write {args.out}: {out_dir} is not a writable directory")
+    # the engine runs on one thread, so OpenBLAS starts no pool unless the user
+    # sized one; numpy reads the variable once, when it loads
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import density  # imports numpy, which no other command needs
 
     series = density.density_trajectory(args.width, args.steps, args.trials, args.seed)

@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ def _occurrence_counter(w: str, width: int) -> Callable[[int], int]:
     return count
 
 
-@dataclass(frozen=True)
-class DensitySeries:
+class DensitySeries(NamedTuple):
     width: int
     steps: int
     trials: int
@@ -77,8 +76,7 @@ class DensitySeries:
     generator: str = GENERATOR_NAME
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     exponent: float
     amplitude: float
     window: tuple[int, int]

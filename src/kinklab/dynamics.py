@@ -9,8 +9,8 @@ supports), ``step_cyclic_packed`` on a cycle.  The string engines
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import BadWord, WidthTooSmall, WordTooShort
 
@@ -79,6 +79,8 @@ def step_cyclic_packed(x: int, width: int, rule: str = R18) -> int:
     so bit i may hold cell i or cell width - 1 - i."""
     top = width - 1
     h = x >> top
+    if h >> 1:  # x < 0 or x >= 2**width
+        raise ValueError(f"packed cycle must lie in [0, 2**{width})")
     lanes = x << 1 ^ x >> 1 ^ (h | h << width) ^ (x & 1) << top
     if rule == R18:
         return lanes ^ (lanes & x)
@@ -117,16 +119,17 @@ def iterate_word(w: str, n: int, rule: str = R18) -> str:
     return w
 
 
-@dataclass(frozen=True)
-class CyclicConfig:
+class CyclicConfig(NamedTuple("_Cyclic", [("bits", str)])):
     """Fixed-width periodic configuration; indexing is modulo the width."""
 
-    bits: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_word(self.bits)
-        if len(self.bits) < 3:
-            raise WidthTooSmall(f"cyclic width {len(self.bits)} < 3")
+    def __new__(cls, bits: str) -> CyclicConfig:
+        if len(check_word(bits)) < 3:
+            raise WidthTooSmall(f"cyclic width {len(bits)} < 3")
+        return super().__new__(cls, bits)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     @property
     def width(self) -> int:
@@ -138,28 +141,22 @@ def step_cyclic(x: CyclicConfig, rule: str = R18) -> CyclicConfig:
     return CyclicConfig(step_word(wrapped, rule))
 
 
-@dataclass(frozen=True)
-class FiniteSupportConfig:
+class FiniteSupportConfig(NamedTuple("_FiniteSupport", [("support", str), ("offset", int)])):
     """Bi-infinite configuration with 0-background and finite support.
 
     The support is trimmed to canonical form (begins and ends with 1, or is
     empty); the offset is the coordinate of the support's leftmost symbol.
     """
 
-    support: str = ""
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_word(self.support)
-        s = self.support
-        if "1" not in s:
-            object.__setattr__(self, "support", "")
-            object.__setattr__(self, "offset", 0)
-            return
-        lead = s.index("1")
-        trail = s.rindex("1")
-        object.__setattr__(self, "support", s[lead : trail + 1])
-        object.__setattr__(self, "offset", self.offset + lead)
+    def __new__(cls, support: str = "", offset: int = 0) -> FiniteSupportConfig:
+        if "1" not in check_word(support):
+            return super().__new__(cls, "", 0)
+        lead = support.index("1")
+        return super().__new__(cls, support[lead : support.rindex("1") + 1], offset + lead)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace trims too
 
     def symbol(self, i: int) -> int:
         j = i - self.offset

@@ -11,7 +11,6 @@ for the packed counters, which share one carry helper, ``_odd_distance``.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynamics import CyclicConfig, check_word
@@ -73,6 +72,8 @@ def cyclic_kink_counter(width: int) -> Callable[[int], int]:
     even = full // 3
 
     def count(x: int) -> int:
+        if x >> width:  # x < 0 or x >= 2**width
+            raise ValueError(f"packed cycle must lie in [0, 2**{width})")
         if not x:
             return 0
         rest = x & (x - 1)
@@ -93,8 +94,7 @@ def count_kinks_cyclic(x: CyclicConfig) -> int:
     return inner + ((len(pieces[0]) + len(pieces[-1])) % 2 == 0)
 
 
-@dataclass(frozen=True)
-class TwoKinkDecomposition:
+class TwoKinkDecomposition(NamedTuple):
     b: str
     delta: str
     left_gap: int

@@ -10,10 +10,9 @@ refute but only ever confirm within its budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import dynamics, kinks, preimage, wordclasses
 from .dynamics import words
@@ -25,8 +24,7 @@ class OracleStatus(Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     check: str
     status: OracleStatus
     budget: dict[str, Any]

@@ -12,8 +12,8 @@ finite truncations with explicit pad bounds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import wordclasses
 from .dynamics import check_word, padded, step_packed, step_word
@@ -34,16 +34,19 @@ MAX_DEPTH = 10
 _EXCLUDED_FORM_RE = re.compile(r"0?(10)*1?")
 
 
-@dataclass(frozen=True)
-class PreimageSet:
-    target: str
-    members: tuple[str, ...]
+class PreimageSet(NamedTuple("_PreimageSet", [("target", str), ("members", tuple[str, ...])])):
+    """The preimages of target; ``len`` and ``in`` read the members."""
+
+    __slots__ = ()
 
     def __contains__(self, u: str) -> bool:
         return u in self.members
 
     def __len__(self) -> int:
         return len(self.members)
+
+    # the stock _make, which _replace calls, checks len() against the 2 fields
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 @cache
@@ -151,8 +154,7 @@ def preimage_depth(w: str, d: int) -> bool:
     return all(_reach_masks(w, d))  # a dead mask stays dead: stop at the first
 
 
-@dataclass(frozen=True)
-class ExtensionFamily:
+class ExtensionFamily(NamedTuple):
     """Finite truncation of the kink-preserving extension set of a base word."""
 
     base: str
@@ -180,8 +182,7 @@ def is_excluded_form(w: str) -> bool:
     return bool(_EXCLUDED_FORM_RE.fullmatch(w))
 
 
-@dataclass(frozen=True)
-class StableExtensionReport:
+class StableExtensionReport(NamedTuple):
     word: str
     pad: int
     inclusion_holds: bool

@@ -297,16 +297,18 @@ def test_density_bad_run_parameters_exit_2(capsys, tmp_path, flags):
     assert not (tmp_path / "run.csv").exists()
 
 
-def run_python(script, **kwargs):
+def run_python(script, env=None, **kwargs):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=60, **kwargs,
+        env=dict(os.environ if env is None else env, PYTHONPATH=path), timeout=60, **kwargs,
     )
 
 
 REPORT_IMPORTS = (
     "sys.stdout.flush()\n"
+    "print(json.dumps(['dataclasses' in sys.modules,"
+    " os.environ.get('OPENBLAS_NUM_THREADS')]), file=sys.stderr)\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kinklab.'))),"
     " file=sys.stderr)\n"
     "print('numpy' in sys.modules, file=sys.stderr)\n"
@@ -315,9 +317,10 @@ REPORT_IMPORTS = (
 
 def run_fresh(*argv, **kwargs):
     """Run main(argv) in a new interpreter; its last stderr line tells whether
-    numpy was imported, the line before lists the kinklab submodules loaded."""
+    numpy was imported, the line before lists the kinklab submodules loaded, and
+    the one before that whether dataclasses was imported and OPENBLAS_NUM_THREADS."""
     script = (
-        f"import json, sys\nfrom kinklab.cli import main\nrc = main({list(argv)!r})\n"
+        f"import json, os, sys\nfrom kinklab.cli import main\nrc = main({list(argv)!r})\n"
         f"{REPORT_IMPORTS}sys.exit(rc)\n"
     )
     return run_python(script, **kwargs)
@@ -328,7 +331,7 @@ def loaded_submodules(proc):
 
 
 def test_import_kinklab_loads_no_submodule():
-    proc = run_python(f"import json, sys\nimport kinklab\n{REPORT_IMPORTS}")
+    proc = run_python(f"import json, os, sys\nimport kinklab\n{REPORT_IMPORTS}")
     assert proc.returncode == 0, proc.stderr
     assert loaded_submodules(proc) == set()
     assert proc.stderr.splitlines()[-1] == "False"
@@ -363,25 +366,44 @@ def test_star_import_binds_the_public_names_without_numpy():
     assert numpy_loaded == "False"
 
 
-@pytest.mark.parametrize(
-    "argv, not_loaded",
-    [
-        (("simulate", "--support", "1", "--steps", "3", "--render", "ascii"),
-         {"kinks", "wordclasses", "preimage", "oracles", "density"}),
-        (("classify", "1101001"), {"preimage", "oracles"}),
-        (("preimage", "11", "--depth", "2"), {"oracles"}),
-        (("verify", "--profile", "quick"), {"density"}),
-        (("density", "--width", "131", "--steps", "8", "--trials", "1"),
-         {"oracles", "preimage"}),
-    ],
-    ids=["simulate", "classify", "preimage", "verify", "density"],
-)
+# each command, and the kinklab submodules it must not load
+COLD_COMMANDS = {
+    "simulate": (("simulate", "--support", "1", "--steps", "3", "--render", "ascii"),
+                 {"kinks", "wordclasses", "preimage", "oracles", "density"}),
+    "classify": (("classify", "1101001"), {"preimage", "oracles"}),
+    "preimage": (("preimage", "11", "--depth", "2"), {"oracles"}),
+    "verify": (("verify", "--profile", "quick"), {"density"}),
+    "density": (("density", "--width", "131", "--steps", "8", "--trials", "1"),
+                {"oracles", "preimage"}),
+}
+
+
+@pytest.mark.parametrize("argv, not_loaded", COLD_COMMANDS.values(), ids=COLD_COMMANDS)
 def test_commands_import_only_what_they_run(tmp_path, argv, not_loaded):
     proc = run_fresh(*argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = loaded_submodules(proc)
     assert "cli" in loaded
     assert not loaded & not_loaded, loaded & not_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, preset",
+    [*((argv, None) for argv, _ in COLD_COMMANDS.values()), (COLD_COMMANDS["density"][0], "3")],
+    ids=[*COLD_COMMANDS, "density-blas-preset"],
+)
+def test_cold_start_without_dataclasses_and_with_one_blas_thread(tmp_path, argv, preset):
+    # records are NamedTuples, and only density loads numpy, with one OpenBLAS
+    # thread unless the user set OPENBLAS_NUM_THREADS
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = run_fresh(*argv, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *_, report, _, numpy_loaded = proc.stderr.splitlines()
+    density = argv[0] == "density"
+    assert json.loads(report) == [False, preset or ("1" if density else None)]
+    assert numpy_loaded == str(density)
 
 
 @pytest.mark.parametrize(

@@ -207,10 +207,38 @@ def test_step_packed_rejects_negative():
         step_packed(-1)
 
 
+@pytest.mark.parametrize("x", [-1, -3, 0b100000, 1 << 70], ids=["-1", "-3", "2**5", "2**70"])
+def test_step_cyclic_packed_rejects_x_outside_the_width(x):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*5\)"):
+        step_cyclic_packed(x, 5)
+
+
 def test_support_canonical_trim():
     c = FiniteSupportConfig("00101000", 3)
     assert (c.support, c.offset) == ("101", 5)
     assert FiniteSupportConfig("000", 7).support == ""
+    assert FiniteSupportConfig("000", 7).offset == 0
+    assert FiniteSupportConfig() == FiniteSupportConfig("", 0)
+    # _replace builds through the constructor, so it trims too
+    assert c._replace(support="0110") == FiniteSupportConfig("11", 6)
+    assert c._replace(offset=0) == FiniteSupportConfig("101", 0)
+
+
+def test_configs_refuse_bad_input_and_assignment():
+    with pytest.raises(BadWord):
+        CyclicConfig("10a")
+    with pytest.raises(BadWord):
+        FiniteSupportConfig("102")
+    with pytest.raises(WidthTooSmall):
+        CyclicConfig("101")._replace(bits="10")
+    c, s = CyclicConfig("1001"), FiniteSupportConfig("101", 4)
+    for record, name in [(c, "bits"), (c, "width"), (c, "extra"),
+                         (s, "support"), (s, "offset"), (s, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, "1")
+    assert (c.bits, c.width, s.support, s.offset) == ("1001", 4, "101", 4)
+    assert repr(s) == "FiniteSupportConfig(support='101', offset=4)"
+    assert repr(c) == "CyclicConfig(bits='1001')"
 
 
 @given(words, st.integers(min_value=-50, max_value=50))

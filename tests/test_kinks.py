@@ -12,6 +12,7 @@ from kinklab import (
     two_kink_decompose,
 )
 from kinklab.errors import NotTwoKink
+from kinklab.kinks import cyclic_kink_counter
 from kinklab.wordclasses import is_stable
 
 words = st.text(alphabet="01", max_size=64)
@@ -45,6 +46,12 @@ def test_count_kinks_packed_rejects_negative():
     # a negative int has infinitely many 1s
     with pytest.raises(ValueError):
         count_kinks_packed(-1)
+
+
+@pytest.mark.parametrize("x", [-1, -3, 0b100000, 1 << 70], ids=["-1", "-3", "2**5", "2**70"])
+def test_cyclic_kink_counter_rejects_x_outside_the_width(x):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*5\)"):
+        cyclic_kink_counter(5)(x)
 
 
 @given(words)

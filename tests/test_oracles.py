@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -362,9 +361,7 @@ def test_extension_counterexample_fails_without_101(monkeypatch):
 
     def without_101(w, pad):
         r = real(w, pad)
-        return dataclasses.replace(
-            r, counterexamples=tuple(u for u in r.counterexamples if u != "101")
-        )
+        return r._replace(counterexamples=tuple(u for u in r.counterexamples if u != "101"))
 
     monkeypatch.setattr(oracles.preimage, "check_stable_extension", without_101)
     report = oracles.verify_extension_counterexample()

@@ -80,6 +80,22 @@ def test_count_preimages_matches_enumeration():
             assert count_preimages(w) == len(preimages(w)), w
 
 
+def test_preimage_set_record():
+    ps = preimages("0000")
+    assert len(ps) == count_preimages("0000") == 22
+    assert "010101" in ps and "100000" not in ps and "0000" not in ps
+    assert not preimages("111")  # no member
+    target, members = ps  # a record iterates its two fields
+    assert (target, members) == ps and members == ps.members
+    # _replace and _make must not read len(), which counts members
+    moved = ps._replace(target="x")
+    assert type(moved) is preimage.PreimageSet
+    assert (moved.target, moved.members) == ("x", ps.members)
+    assert preimage.PreimageSet._make(("11", ("1001",))) == preimages("11")
+    with pytest.raises(AttributeError):
+        ps.members = ()
+
+
 def test_count_preimages_of_zeros_without_enumerating():
     assert count_preimages("0" * 40) == 701_408_734
 
