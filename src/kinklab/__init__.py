@@ -28,12 +28,11 @@ _EXPORTS = {
     "oracles": ("OracleReport", "OracleStatus", "run_all"),
     "preimage": (
         "ExtensionFamily", "PreimageSet", "check_stable_extension",
-        "enumerate_extensions", "preimage_depth", "preimages", "two_kink_preimage",
-        "unique_lift",
+        "enumerate_extensions", "preimage_depth", "preimages",
     ),
     "wordclasses": (
         "StabilityClass", "classify_stability", "in_B", "in_P", "is_left_kink_word",
-        "is_stable", "reverse",
+        "is_stable",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -24,6 +24,15 @@ EXIT_USAGE = 2
 # write 128 MB of ascii or 256 MB of pbm (2 bytes a cell).
 MAX_DIAGRAM_CELLS = 1 << 27
 
+# simulate steps at most this many cells, steps x (width + 64), where a step's
+# own overhead counts as 64 cells and --support's width is its last row's.  Near
+# the cap, on 2 vCPUs: --word "10" * 23000 + "1" for 23,000 steps takes 4.9 s
+# (the word is stepped as a string, about 4 ns a cell), --cyclic 100 for
+# 16,000,000 steps 3.9 s and --cyclic "1" + "0" * 100 for 6,400,000 steps 3.2 s.
+# --support 1 stops at 23,154 steps (0.07 s); uncapped, its cost is quadratic in
+# the steps: 160,000 steps took 2.8 s and 320,000 steps 12.7 s.
+MAX_SIMULATE_CELLS = 1 << 30
+
 # preimage --depth 1 writes at most this many cells, count x (|w| + 2), about
 # 1.3 MB of JSON: 0^20 (46,369 x 22 cells) is written in 0.3 s, "10001" * 3 +
 # "10" * 65520 (8 x 131,057 cells, near the argv limit) in 3.5 s.  0^40
@@ -99,6 +108,9 @@ def _cmd_simulate(args) -> int:
         width = len(x.support) + 2 * steps if x.support else 1
         y, step = int(x.support or "0", 2), dynamics.step_packed
         row = lambda t, y: format(y << steps - t, f"0{width}b")  # noqa: E731
+    if (cells := steps * (width + 64)) > MAX_SIMULATE_CELLS:
+        raise KinklabError(f"{steps} steps of {width} cells count as {cells} cells, "
+                           f"more than the {MAX_SIMULATE_CELLS} the simulate command steps")
     line = None
     if args.render:
         if (steps + 1) * width > MAX_DIAGRAM_CELLS:

@@ -158,12 +158,6 @@ class FiniteSupportConfig(NamedTuple("_FiniteSupport", [("support", str), ("offs
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace trims too
 
-    def symbol(self, i: int) -> int:
-        j = i - self.offset
-        if 0 <= j < len(self.support):
-            return int(self.support[j])
-        return 0
-
 
 def step_support(x: FiniteSupportConfig, rule: str = R18) -> FiniteSupportConfig:
     """Step the whole bi-infinite configuration.

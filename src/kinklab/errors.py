@@ -25,25 +25,5 @@ class PadTooLarge(KinklabError):
     pass
 
 
-class NotStable(KinklabError):
-    pass
-
-
-class ExcludedForm(KinklabError):
-    """Word belongs to the alternating family on which unique lifting fails."""
-
-
-class NoLift(KinklabError):
-    """No lift exists where theory guarantees one; signals a violated hypothesis."""
-
-
-class NonUnique(KinklabError):
-    """Multiple lifts exist where theory guarantees uniqueness."""
-
-
-class BadShape(KinklabError):
-    pass
-
-
 class DegenerateWindow(KinklabError):
     pass

@@ -15,17 +15,8 @@ import re
 from functools import cache
 from typing import NamedTuple
 
-from . import wordclasses
 from .dynamics import check_word, padded, step_packed, step_word
-from .errors import (
-    BadShape,
-    ExcludedForm,
-    NoLift,
-    NonUnique,
-    NotStable,
-    PadTooLarge,
-    WordTooShort,
-)
+from .errors import PadTooLarge, WordTooShort
 from .kinks import count_kinks
 
 MAX_PAD = 8
@@ -179,7 +170,7 @@ def enumerate_extensions(w: str, left_pad: int, right_pad: int) -> ExtensionFami
 def is_excluded_form(w: str) -> bool:
     """Shapes 0^a (10)^n 1^b with a, b in {0, 1}, on which lifting is only
     determined up to parity."""
-    return bool(_EXCLUDED_FORM_RE.fullmatch(w))
+    return bool(_EXCLUDED_FORM_RE.fullmatch(check_word(w)))
 
 
 class StableExtensionReport(NamedTuple):
@@ -199,7 +190,7 @@ def check_stable_extension(w: str, pad: int) -> StableExtensionReport:
     budget; the report carries the budget so an inconclusive result is
     distinguishable from a refutation.
     """
-    if len(w) < 3:
+    if len(check_word(w)) < 3:
         raise WordTooShort(f"need |w| >= 3, got {len(w)}")
     fw = step_word(w)
     m_w = count_kinks(w)
@@ -242,60 +233,3 @@ def _lifts(w: str, m_w: int, u: str, la: int) -> list[str]:
     """Every a' w b' with |a'| = la and m_w kinks that steps onto u, in
     lexicographic order: the preimages of u with w pinned at la."""
     return [e for e in _walk(u, la, w) if count_kinks(e) == m_w]
-
-
-def unique_lift(w: str, a: str, b: str) -> str:
-    """The unique a', b' with step_word(a' w b') = a·step_word(w)·b.
-
-    NoLift and NonUnique are distinct failures: the former falsifies the
-    existence half of the uniqueness guarantee, the latter its uniqueness half
-    (or the implementation).
-    """
-    check_word(a), check_word(b)
-    if len(w) < 2:
-        raise WordTooShort("unique_lift needs |w| >= 2")
-    if not wordclasses.is_stable(w):
-        raise NotStable(f"{w!r} is unstable")
-    if is_excluded_form(w):
-        raise ExcludedForm(f"{w!r} is of the excluded alternating form")
-    fw = "" if len(w) == 2 else step_word(w)
-    u = a + fw + b
-    if count_kinks(u) != count_kinks(fw):
-        raise ValueError(f"{u!r} is not a kink-preserving extension of {fw!r}")
-    if not a and not b:
-        return w
-    # uniqueness holds within the kink-preserving extension family of w;
-    # lifts that introduce extra kinks are out of scope
-    m_w = count_kinks(w)
-    found = _lifts(w, m_w, u, len(a))
-    if not found:
-        raise NoLift(f"no lift of {u!r} through {w!r}")
-    if len(found) > 1:
-        raise NonUnique(f"multiple lifts of {u!r} through {w!r}: {found}")
-    return found[0]
-
-
-def two_kink_preimage(w: str) -> str:
-    """The unique two-kink preimage of a two-kink word 11 v 11 whose separator
-    v holds an even number of 1s, built from the closed-form shape and verified
-    by stepping before it is returned."""
-    check_word(w)
-    if len(w) < 5 or not (w.startswith("11") and w.endswith("11")):
-        raise BadShape(f"{w!r} is not of the form 11 v 11")
-    if count_kinks(w) != 2:
-        raise BadShape(f"{w!r} does not have exactly two kinks")
-    v = w[2:-2]
-    if v.count("1") % 2 == 1:
-        raise BadShape(f"separator of {w!r} has an odd number of 1s: no preimage")
-    runs = v.split("1")
-    if any(len(r) % 2 == 0 for r in runs):
-        raise BadShape(f"{w!r} separator zero-runs must all have odd length")
-    parts = ["100"]
-    for j, r in enumerate(runs):
-        n_j = (len(r) + 1) // 2
-        parts.append("10" * n_j if j % 2 == 0 else "00" * n_j)
-    parts.append("01")
-    result = "".join(parts)
-    if step_word(result) != w or count_kinks(result) != 2:
-        raise BadShape(f"internal error: formula preimage of {w!r} failed to verify")
-    return result

@@ -53,10 +53,6 @@ def is_stable(w: str) -> bool:
     return classify_stability(w) is StabilityClass.STABLE
 
 
-def reverse(w: str) -> str:
-    return check_word(w)[::-1]
-
-
 def is_left_kink_word(w: str) -> bool:
     """Begins with a kink and contains no other kink."""
     occ = find_kinks(w)

@@ -22,7 +22,6 @@ from kinklab import (
     rule18_local,
     step_cyclic,
     step_word,
-    two_kink_preimage,
 )
 from kinklab import oracles
 from kinklab.density import write_density_csv
@@ -124,7 +123,18 @@ def test_criterion_06_preimage_exactness(capsys):
     report(capsys, 6, "preimage-exactness", ok, "all |w| <= 10 vs brute force")
 
 
+def two_kink_formula(w):
+    """The paper's closed-form two-kink preimage of a two-kink 11 v 11 whose
+    separator v holds an even number of 1s: 100, then (10)^n or (00)^n for the
+    even- or odd-numbered zero-runs of v, of odd length 2n - 1, then 01."""
+    runs = w[2:-2].split("1")
+    middle = "".join(("10", "00")[j % 2] * ((len(r) + 1) // 2) for j, r in enumerate(runs))
+    return "100" + middle + "01"
+
+
 def test_criterion_07_no_preimage_families(capsys):
+    assert two_kink_formula("11011") == "1001001"
+    assert two_kink_formula("1100011") == "100101001"
     ok = not preimages("111").members
     checked_odd = checked_even = 0
     for k in range(0, 9):
@@ -135,7 +145,7 @@ def test_criterion_07_no_preimage_families(capsys):
                     ok = False
                 checked_odd += 1
             elif count_kinks(w) == 2:
-                u = two_kink_preimage(w)
+                u = two_kink_formula(w)
                 two_kinked = [p for p in preimages(w).members if count_kinks(p) == 2]
                 if two_kinked != [u]:
                     ok = False

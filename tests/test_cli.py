@@ -187,6 +187,24 @@ def test_preimage_depth(capsys):
     assert json.loads(out) is True
 
 
+# accepted preimage inputs at depths 1 to 8, with every target's stdout hashed
+# in order: enumerations (0^20 just under the cell cap) and depth probes
+PREIMAGE_GRID = [
+    ("11", 1), ("111", 1), ("0000", 1), ("10011", 1), ("1101001", 1), ("001101100", 1),
+    ("0" * 20, 1), ("1001", 2), ("0" * 40, 2), ("10011011001", 2), ("1101001", 3), ("111", 3),
+    ("10" * 8, 4), ("0" * 10, 8),
+]
+
+
+def test_preimage_stdout_digest(capsys):
+    digest = hashlib.sha256()
+    for w, depth in PREIMAGE_GRID:
+        code, out, _ = run(capsys, "preimage", w, "--depth", str(depth))
+        assert code == 0, (w, depth)
+        digest.update(out.encode())
+    assert digest.hexdigest() == "52f70e4f5b68578de00e135ea36e72f031b3f5bee9d7450335d8d8f4a24bdb92"
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--profile", "quick")
     assert code == 0
@@ -347,10 +365,9 @@ STAR_NAMES = [
     "count_kinks_cyclic", "count_kinks_packed", "dynamics", "enumerate_extensions",
     "errors", "find_kinks", "in_B", "in_P", "is_left_kink_word", "is_stable",
     "iterate_word", "kinks", "oracles", "preimage", "preimage_depth", "preimages",
-    "reverse", "rule18_local", "run_all", "step_cyclic",
-    "step_cyclic_packed", "step_packed", "step_support", "step_word",
-    "step_word_scalar", "two_kink_decompose", "two_kink_preimage", "unique_lift",
-    "wordclasses",
+    "rule18_local", "run_all", "step_cyclic", "step_cyclic_packed",
+    "step_packed", "step_support", "step_word", "step_word_scalar",
+    "two_kink_decompose", "wordclasses",
 ]
 
 
@@ -477,6 +494,43 @@ def test_simulate_cell_cap_counts_the_diagram(capsys, monkeypatch, argv, cells):
         monkeypatch.setattr(cli, "MAX_DIAGRAM_CELLS", cap)
         code, out, _ = run(capsys, "simulate", *argv, "--render", "ascii")
         assert (code, out == "") == (expected, expected == 2)
+
+
+def test_simulate_refuses_work_over_the_step_cap():
+    # uncapped, 10,000,000 steps of --support 1 would run for hours; the cap
+    # refuses before any step, so the refusal is quick and prints nothing
+    start = time.perf_counter()
+    proc = run_fresh("simulate", "--support", "1", "--steps", "10000000")
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"more than the {cli.MAX_SIMULATE_CELLS}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        (["--word", "0" * 12, "--steps", "5"], 5 * (12 + 64)),
+        (["--cyclic", "0" * 12, "--steps", "99"], 99 * (12 + 64)),
+        (["--support", "101", "--steps", "99"], 99 * (3 + 2 * 99 + 64)),
+        (["--support", "000", "--steps", "99"], 99 * (1 + 64)),
+    ],
+)
+def test_simulate_step_cap_counts_steps_by_width(capsys, monkeypatch, argv, cells):
+    # steps x (width + 64): the width as the diagram cap counts it, and 64
+    # cells more for each step's own cost
+    for cap, expected in ((cells, 0), (cells - 1, 2)):
+        monkeypatch.setattr(cli, "MAX_SIMULATE_CELLS", cap)
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert (code, out == "") == (expected, expected == 2)
+
+
+def test_simulate_step_cap_stops_support_1_at_23154_steps(capsys):
+    # the boundary the README names, above the 20,000-step smoke run
+    code, out, _ = run(capsys, "simulate", "--support", "1", "--steps", "23154")
+    assert code == 0 and out.endswith(" @ -23154\n")
+    code, out, _ = run(capsys, "simulate", "--support", "1", "--steps", "23155")
+    assert (code, out) == (2, "")
 
 
 def test_density_refuses_a_width_over_the_cap(tmp_path):

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinklab import (
@@ -27,7 +27,12 @@ from kinklab.errors import (
 )
 from kinklab.cli import main
 from kinklab.dynamics import RULE90_TABLE
-from kinklab.preimage import count_preimages, has_preimage
+from kinklab.preimage import (
+    check_stable_extension,
+    count_preimages,
+    has_preimage,
+    is_excluded_form,
+)
 
 words = st.text(alphabet="01", min_size=3, max_size=64)
 
@@ -124,6 +129,7 @@ def _preimages_brute_force(w):
         st.text(alphabet="01b_ -\n１０\u0661", max_size=10),
     )
 )
+@example("ab")  # too short for a stable-extension check, but not a word first
 def test_public_word_functions_reject_or_agree(w):
     """Each public word function raises BadWord on non-binary text and agrees
     with its reference on binary text, raised errors included."""
@@ -131,7 +137,7 @@ def test_public_word_functions_reject_or_agree(w):
         for f, args in [
             (step_word, ()), (iterate_word, (0,)), (iterate_word, (1,)),
             (iterate_word, (3,)), (preimages, ()), (has_preimage, ()),
-            (count_preimages, ()),
+            (count_preimages, ()), (check_stable_extension, (1,)), (is_excluded_form, ()),
         ]:
             with pytest.raises(BadWord):
                 f(w, *args)

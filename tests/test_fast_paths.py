@@ -23,14 +23,12 @@ from kinklab import (
     count_kinks_cyclic,
     count_kinks_packed,
     find_kinks,
-    preimages,
     step_cyclic,
     step_cyclic_packed,
     step_packed,
     step_support,
     step_word,
     step_word_scalar,
-    two_kink_preimage,
 )
 from kinklab.cli import main
 from kinklab.density import _occurrence_counter
@@ -101,7 +99,7 @@ def _rendered_support(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...],
 
 
 def _spacetime_support_per_cell(case: tuple[str, int, int, str]) -> tuple[tuple[str, ...], int]:
-    """Each row read cell by cell with FiniteSupportConfig.symbol over the
+    """Each row read cell by cell, a cell off the support reading 0, over the
     window from the leftmost to the rightmost live cell of the run."""
     support, offset, steps, rule = case
     configs = [FiniteSupportConfig(support, offset)]
@@ -109,7 +107,8 @@ def _spacetime_support_per_cell(case: tuple[str, int, int, str]) -> tuple[tuple[
         configs.append(step_support(configs[-1], rule))
     live = [i for c in configs for i in range(c.offset, c.offset + len(c.support))]
     left, right = (min(live), max(live) + 1) if live else (0, 1)
-    rows = tuple("".join(str(c.symbol(i)) for i in range(left, right)) for c in configs)
+    cells = [dict(enumerate(c.support, c.offset)) for c in configs]
+    rows = tuple("".join(row.get(i, "0") for i in range(left, right)) for row in cells)
     return rows, left
 
 
@@ -188,20 +187,6 @@ def _occurrences(case: tuple[str, str]) -> int:
 occurrence_cases = cyclic_words.flatmap(
     lambda bits: st.tuples(st.just(bits), st.text("01", min_size=1, max_size=len(bits)))
 )
-
-
-def _two_kink_preimage_targets() -> list[str]:
-    """Every 11 v 11 with |v| <= 7 in two_kink_preimage's domain: two kinks, an
-    even number of 1s in v and only odd zero-runs in v."""
-    return [
-        w
-        for n in range(1, 8)
-        for v in words(n)
-        for w in ["11" + v + "11"]
-        if count_kinks(w) == 2
-        and v.count("1") % 2 == 0
-        and all(len(r) % 2 == 1 for r in v.split("1"))
-    ]
 
 
 def _automaton_emits(case: tuple[int, int]) -> list[str]:
@@ -317,12 +302,6 @@ CASES = {
         _automaton_emits,
         _window_scalar,
         [(d, x) for d in range(1, 4) for x in range(2 << 2 * d)],
-        None,
-    ),
-    "two_kink_preimage": Case(
-        lambda w: [two_kink_preimage(w)],
-        lambda w: [p for p in preimages(w).members if count_kinks(p) == 2],
-        _two_kink_preimage_targets(),
         None,
     ),
 }

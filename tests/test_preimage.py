@@ -19,19 +19,11 @@ from kinklab import (
     preimages,
     step_word,
     step_word_scalar,
-    two_kink_preimage,
-    unique_lift,
 )
 from kinklab.dynamics import words
-from kinklab.errors import (
-    BadShape,
-    BadWord,
-    ExcludedForm,
-    NotStable,
-    PadTooLarge,
-    WordTooShort,
-)
+from kinklab.errors import BadWord, PadTooLarge, WordTooShort
 from kinklab.preimage import MAX_DEPTH, count_preimages, has_preimage, is_excluded_form
+from kinklab.wordclasses import is_stable
 
 
 def brute_force_preimages(w):
@@ -238,37 +230,34 @@ def test_excluded_form_shapes():
     assert not is_excluded_form("001101100")
 
 
-def test_unique_lift_examples():
-    lifted = unique_lift("001101100", "0", "")
-    assert step_word(lifted) == "0" + step_word("001101100")
-    with pytest.raises(NotStable):
-        unique_lift("0011", "0", "")
-    with pytest.raises(ExcludedForm):
-        unique_lift("0101", "0", "")
-    assert unique_lift("0100", "", "") == "0100"
-    assert unique_lift("00", "1", "") == "100"  # a 2-cell word steps to ""
-
-
 def test_unique_lift_exhaustive_small():
-    # existence and uniqueness on every eligible stable word up to length 8
-    for n in range(3, 9):
-        for bits in product("01", repeat=n):
-            w = "".join(bits)
-            if is_excluded_form(w):
-                continue
-            from kinklab.wordclasses import is_stable
+    # the unique-lift lemma: for a stable w outside the excluded forms and a
+    # kink-preserving u = a + step_word(w), the walk with w pinned at |a| finds
+    # exactly one lift with w's kink count, on every such w of length 3 to 8
+    cases = [(w, a) for n in range(3, 9) for w in words(n)
+             if is_stable(w) and not is_excluded_form(w) for a in ("", "0", "1")]
+    for w, a in [*cases, ("001101100", "0")]:
+        fw = step_word(w)
+        u = a + fw
+        if count_kinks(u) != count_kinks(fw):
+            continue
+        lifts = preimage._lifts(w, count_kinks(w), u, len(a))
+        assert len(lifts) == 1 and step_word(lifts[0]) == u, (w, a, lifts)
 
-            if not is_stable(w):
-                continue
-            fw = step_word(w)
-            m = count_kinks(fw)
-            for a in ("", "0", "1"):
-                u = a + fw
-                if count_kinks(u) != m:
-                    continue
-                lifted = unique_lift(w, a, "")
-                assert step_word(lifted) == u
 
+def test_lifts_match_brute_force():
+    # the pinned walk against a filter of every preimage: each u up to length
+    # 7, each pin w up to length 3 at each offset where w fits in a preimage
+    pins = [w for m in range(4) for w in words(m)]  # "" included
+    for n in range(1, 8):
+        for u in words(n):
+            expected = brute_force_preimages(u)
+            for w in pins:
+                m = count_kinks(w)
+                for at in range(n + 3 - len(w)):
+                    assert preimage._lifts(w, m, u, at) == [
+                        e for e in expected if e[at : at + len(w)] == w and count_kinks(e) == m
+                    ], (u, w, at)
 
 
 def _limit_address_space():
@@ -276,27 +265,17 @@ def _limit_address_space():
 
 
 def test_unique_lift_walks_only_the_pads():
-    # The padded image 0^39 has hundreds of millions of preimages, but 0^40 is
-    # pinned at offset 1 and leaves one cell free.  The child runs under a
-    # 1 GiB address-space limit, which enumerating every preimage would break.
+    # The padded images of 0^38 have hundreds of millions of preimages, but
+    # check_stable_extension lifts them with 0^40 pinned in place, which leaves
+    # at most two cells free.  The child runs under a 1 GiB address-space
+    # limit, which enumerating every preimage would break.
     src = str(Path(kinklab.__file__).resolve().parents[1])
+    code = ("import kinklab; r = kinklab.check_stable_extension('0' * 40, 1); "
+            "print((r.inclusion_holds, r.equality_holds, r.counterexamples))")
     proc = subprocess.run(
-        [sys.executable, "-c", "import kinklab; print(kinklab.unique_lift('0' * 40, '0', ''))"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0" * 41 + "\n"
-
-def test_two_kink_preimage_examples():
-    assert two_kink_preimage("11011") == "1001001"
-    assert two_kink_preimage("1100011") == "100101001"  # frozen via step check
-    with pytest.raises(BadShape):
-        two_kink_preimage("1101011")  # odd number of 1s in the separator
-
-
-def test_two_kink_preimage_rejects_bad_shapes():
-    with pytest.raises(BadShape):
-        two_kink_preimage("10011")
-    with pytest.raises(BadShape):
-        two_kink_preimage("111")
+    assert proc.stdout == "(True, True, ())\n"

@@ -1,8 +1,6 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from kinklab import (
     StabilityClass,
@@ -11,7 +9,6 @@ from kinklab import (
     in_B,
     in_P,
     is_left_kink_word,
-    reverse,
 )
 from kinklab.errors import NotTwoKink
 from kinklab.wordclasses import is_left_unstable
@@ -64,8 +61,8 @@ def test_in_B_members_are_left_unstable():
 
 
 def test_in_B_reversed():
-    assert in_B(reverse("10011"))
-    assert not in_B(reverse("11001"))
+    assert in_B("10011"[::-1])
+    assert not in_B("11001"[::-1])
 
 
 @pytest.mark.parametrize(
@@ -113,8 +110,3 @@ def test_extension_stability_exhaustive():
                 e = a + w + b
                 if count_kinks(e) == m:
                     assert classify_stability(e) is StabilityClass.STABLE, e
-
-
-@given(st.text(alphabet="01", max_size=64))
-def test_reverse_involution(w):
-    assert reverse(reverse(w)) == w
