@@ -221,6 +221,14 @@ def test_check_stable_extension_short_word():
         check_stable_extension("01", 1)
 
 
+def test_two_kink_preimage_examples():
+    # a two-kink 11 v 11 with an even number of 1s in v has one two-kink
+    # preimage; with an odd number it has no preimage at all
+    for w, u in (("11011", "1001001"), ("1100011", "100101001")):
+        assert [p for p in preimages(w).members if count_kinks(p) == 2] == [u]
+    assert not preimages("1101011").members
+
+
 def test_excluded_form_shapes():
     assert is_excluded_form("010")
     assert is_excluded_form("0101")
