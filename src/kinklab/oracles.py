@@ -105,30 +105,73 @@ def _no_double_zero_words(max_len: int):
                 frontier.append((n + 1, w << 1))
 
 
+_SUFFIX_CELLS = 16  # longest middle laned whole: 2,584 words, 10 kB at 32-bit lanes
+
+
 def verify_kink_elimination_parity(max_len: int = 16) -> OracleReport:
     """For u = 001 w 100 with 00-free w: one step collapses u to a single
     even-or-odd gap 1 0^{|w|+2} 1, a kink exactly when u held an odd number.
-    On packed ints, u = ``1 << n+3 | w << 3 | 4`` with n = |w| steps to
-    ``step_packed(u) >> 2`` on n + 4 cells; strings are built only on failure."""
+
+    Every w of one length n gets a lane of one int u, ``lane`` bits wide (the
+    next power of two >= max_len), lane k holding ``1 << n+3 | w << 3 | 4``
+    and k rising with w.  The 00 at both ends of each word keeps its step
+    inside its lane, so one step_packed and one carry count check the whole
+    length.  Middles longer than 16 cells are a 00-free prefix from
+    ``_no_double_zero_words`` followed by the 16-cell lanes (only those
+    starting with 1 after a prefix ending in 0).  The witness is the
+    lexicographically smallest failing w, the first one a word-by-word
+    depth-first walk meets; its detail is built for that one word, the image
+    checked before the parity."""
     budget = _budget(max_len=max_len)
     if max_len < 6:
         raise ValueError(f"max_len must be at least 6 to hold 001100, got {max_len}")
-    for n, w in _no_double_zero_words(max_len - 6):
-        u = 1 << n + 3 | w << 3 | 4
-        image = dynamics.step_packed(u) >> 2 & (1 << n + 4) - 1
-        expected = 1 << n + 3 | 1
-        if image != expected:
-            return _fail(
-                "kink_elimination_parity", budget, f"{u:0{n + 6}b}",
-                f"step({u:0{n + 6}b}) = {image:0{n + 4}b}, expected {expected:0{n + 4}b}",
-            )
-        image_is_kink = n % 2 == 0  # gap n+2 even
-        if image_is_kink != (kinks.count_kinks_packed(u) % 2 == 1):
-            return _fail(
-                "kink_elimination_parity", budget, f"{u:0{n + 6}b}",
-                "kink parity of input does not match image gap parity",
-            )
-    return _ok("kink_elimination_parity", budget)
+    lane = 1 << (max_len - 1).bit_length()
+    folds = [lane >> i for i in range(1, lane.bit_length())]
+
+    def smallest_failure(n: int, ws: int, count: int, rep: int) -> str | None:
+        """The smallest failing w of the ascending lanes ws, each w of n cells
+        (rep: a 1 at the bottom of each of the count lanes), or None."""
+        u = rep * (1 << n + 3 | 4) | ws << 3
+        diff = dynamics.step_packed(u) >> 2 & rep * ((1 << n + 4) - 1) ^ rep * (1 << n + 3 | 1)
+        bad = diff + rep * ((1 << lane - 1) - 1) >> lane - 1  # carry: bit 0 set iff lane differs
+        full = (1 << count * lane) - 1
+        odd = kinks._odd_distance(u, full, full // 3) & u & ~(rep << 2)
+        for s in folds:
+            odd ^= odd >> s  # bit 0 of each lane: its kink count mod 2
+        bad = (bad | odd ^ rep * (n % 2 == 0)) & rep
+        if not bad:
+            return None
+        w = ws >> (bad & -bad).bit_length() - 1 & (1 << n) - 1
+        return f"{w:0{n}b}" if n else ""
+
+    # (ws, count, rep) lane sets in ascending order: t holds every 00-free word
+    # of n cells, o those starting with 1 (and the empty word), t = 0·o then 1·t
+    t = o = (0, 1, 1)
+    failing = []
+    for n in range(min(max_len - 6, _SUFFIX_CELLS) + 1):
+        if n:
+            ws, count, rep = t
+            head = (ws + (rep << n - 1), count, rep)
+            shift = o[1] * lane
+            t, o = (o[0] | head[0] << shift, o[1] + count, o[2] | rep << shift), head
+        failing.append(smallest_failure(n, *t))
+    for m, p in _no_double_zero_words(max_len - 6 - _SUFFIX_CELLS):
+        if m:
+            ws, count, rep = t if p & 1 else o
+            ws |= rep * (p << _SUFFIX_CELLS)
+            failing.append(smallest_failure(m + _SUFFIX_CELLS, ws, count, rep))
+    witnesses = [w for w in failing if w is not None]
+    if not witnesses:
+        return _ok("kink_elimination_parity", budget)
+    w = min(witnesses)
+    word, n = f"001{w}100", len(w)
+    image = dynamics.step_packed(int(word, 2)) >> 2 & (1 << n + 4) - 1
+    expected = 1 << n + 3 | 1
+    if image != expected:
+        detail = f"step({word}) = {image:0{n + 4}b}, expected {expected:0{n + 4}b}"
+    else:
+        detail = "kink parity of input does not match image gap parity"
+    return _fail("kink_elimination_parity", budget, word, detail)
 
 
 def verify_annihilation(max_support: int = 12, max_steps: int = 4096) -> OracleReport:

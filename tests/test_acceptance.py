@@ -132,11 +132,28 @@ def two_kink_formula(w):
     return "100" + middle + "01"
 
 
+def even_separators(max_len):
+    """Every v with |v| <= max_len that makes 11 v 11 a two-kink word with an
+    even number of 1s in v: v = 0^{a_1} 1 0^{a_2} ... 1 0^{a_k}, every a_i odd
+    (an even zero-run or a 11 would add a kink) and k odd."""
+    frontier = ["0" * a for a in range(1, max_len + 1, 2)]
+    while frontier:
+        v = frontier.pop()
+        if v.count("1") % 2 == 0:
+            yield v
+        frontier += [v + "1" + "0" * a for a in range(1, max_len - len(v), 2)]
+
+
+def formula_matches(w):
+    two_kinked = [p for p in preimages(w).members if count_kinks(p) == 2]
+    return two_kinked == [two_kink_formula(w)]
+
+
 def test_criterion_07_no_preimage_families(capsys):
     assert two_kink_formula("11011") == "1001001"
     assert two_kink_formula("1100011") == "100101001"
     ok = not preimages("111").members
-    checked_odd = checked_even = 0
+    checked_odd, even = 0, []
     for k in range(0, 9):
         for v in all_words(k):
             w = "11" + v + "11"
@@ -145,14 +162,16 @@ def test_criterion_07_no_preimage_families(capsys):
                     ok = False
                 checked_odd += 1
             elif count_kinks(w) == 2:
-                u = two_kink_formula(w)
-                two_kinked = [p for p in preimages(w).members if count_kinks(p) == 2]
-                if two_kinked != [u]:
+                if not formula_matches(w):
                     ok = False
-                checked_even += 1
+                even.append(v)
+    generated = list(even_separators(20))
+    ok = ok and sorted(even) == sorted(v for v in generated if len(v) <= 8)
+    ok = ok and all(count_kinks(f"11{v}11") == 2 and formula_matches(f"11{v}11") for v in generated)
     report(
         capsys, 7, "no-preimage-families", ok,
-        f"{checked_odd} odd-ones separators empty, {checked_even} formula matches",
+        f"{checked_odd} odd-ones separators empty, {len(even)} formula matches, "
+        f"{len(generated)} generated to |v| <= 20",
     )
 
 

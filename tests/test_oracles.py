@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -234,19 +235,45 @@ def test_kink_elimination_parity_needs_six_cells(max_len):
         oracles.verify_kink_elimination_parity(max_len)
 
 
+def _kink_elimination_parity_reference(max_len):
+    """The per-word loop that the packed lanes replaced, kept as their
+    reference: one step_packed and one count_kinks_packed call per middle w,
+    in depth-first order, stopping at the first failure."""
+    budget = {"max_len": max_len}
+    for n, w in oracles._no_double_zero_words(max_len - 6):
+        u = 1 << n + 3 | w << 3 | 4
+        image = oracles.dynamics.step_packed(u) >> 2 & (1 << n + 4) - 1
+        expected = 1 << n + 3 | 1
+        if image != expected:
+            return oracles._fail(
+                "kink_elimination_parity", budget, f"{u:0{n + 6}b}",
+                f"step({u:0{n + 6}b}) = {image:0{n + 4}b}, expected {expected:0{n + 4}b}",
+            )
+        image_is_kink = n % 2 == 0  # gap n+2 even
+        if image_is_kink != (oracles.kinks.count_kinks_packed(u) % 2 == 1):
+            return oracles._fail(
+                "kink_elimination_parity", budget, f"{u:0{n + 6}b}",
+                "kink parity of input does not match image gap parity",
+            )
+    return oracles._ok("kink_elimination_parity", budget)
+
+
 def test_kink_elimination_parity_failure_reports(monkeypatch):
-    # witness and detail texts as the string implementation reported them
+    # witness and detail texts as the string implementation reported them; the
+    # faults below read whole words (bit_count), so only the per-word
+    # reference sees them as it did
     real_step = oracles.dynamics.step_packed
     # cells outside step_word's window are ignored, as step_word ignores them
     monkeypatch.setattr(
         oracles.dynamics, "step_packed", lambda x: real_step(x) | 1 << x.bit_length() + 2 | 3
     )
+    assert _kink_elimination_parity_reference(16).status is OracleStatus.PASS
     assert oracles.verify_kink_elimination_parity(16).status is OracleStatus.PASS
     monkeypatch.setattr(
         oracles.dynamics, "step_packed",
         lambda x: real_step(x) ^ (8 if x.bit_count() > 5 else 0),
     )
-    r = oracles.verify_kink_elimination_parity(16)
+    r = _kink_elimination_parity_reference(16)
     assert (r.status, r.witness, r.detail) == (
         OracleStatus.FAIL, "00101010101100",
         "step(00101010101100) = 100000000011, expected 100000000001",
@@ -256,11 +283,69 @@ def test_kink_elimination_parity_failure_reports(monkeypatch):
     monkeypatch.setattr(
         oracles.kinks, "count_kinks_packed", lambda x: real_count(x) + (x.bit_count() == 5)
     )
-    r = oracles.verify_kink_elimination_parity(16)
+    r = _kink_elimination_parity_reference(16)
     assert (r.status, r.witness, r.detail) == (
         OracleStatus.FAIL, "001010101100",
         "kink parity of input does not match image gap parity",
     )
+
+
+@pytest.mark.parametrize("max_len", range(6, 25))
+def test_kink_elimination_parity_matches_reference(max_len):
+    assert oracles.verify_kink_elimination_parity(max_len).to_json() == (
+        _kink_elimination_parity_reference(max_len).to_json()
+    )
+
+
+_REAL_STEP = oracles.dynamics.step_packed
+_REAL_ODD_DISTANCE = oracles.kinks._odd_distance
+
+# faults that read only a few neighbouring cells, as a wrong engine would:
+# three step_packed outputs flipped where the input shows a pattern, and one
+# carry result flipped on 111; lanes see them exactly as single words do
+_CELL_FAULTS = {
+    "step-101": (oracles.dynamics, "step_packed",
+                 lambda x: _REAL_STEP(x) ^ (x & x >> 2 & ~(x >> 1))),
+    "step-1011": (oracles.dynamics, "step_packed",
+                  lambda x: _REAL_STEP(x) ^ (x & x >> 1 & x >> 3 & ~(x >> 2)) << 1),
+    "step-11x11": (oracles.dynamics, "step_packed",
+                   lambda x: _REAL_STEP(x) ^ (x & x >> 1 & x >> 3 & x >> 4) << 3),
+    "odd-111": (oracles.kinks, "_odd_distance",
+                lambda d, f, e: _REAL_ODD_DISTANCE(d, f, e) ^ (d & d >> 1 & d >> 2)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_CELL_FAULTS))
+def test_kink_elimination_parity_matches_reference_under_cell_faults(monkeypatch, fault):
+    monkeypatch.setattr(*_CELL_FAULTS[fault])
+    for max_len in range(6, 25):
+        assert oracles.verify_kink_elimination_parity(max_len).to_json() == (
+            _kink_elimination_parity_reference(max_len).to_json()
+        ), max_len
+
+
+@pytest.mark.parametrize("fault, max_len, witness, detail", [
+    ("step-101", 20, "0010100", "step(0010100) = 10000, expected 10001"),
+    # an 18-cell middle: a 2-cell prefix before the 16-cell lanes
+    ("odd-111", 24, "001010101010101010111100",
+     "kink parity of input does not match image gap parity"),
+])
+def test_kink_elimination_parity_fault_reports(monkeypatch, fault, max_len, witness, detail):
+    monkeypatch.setattr(*_CELL_FAULTS[fault])
+    r = oracles.verify_kink_elimination_parity(max_len)
+    assert (r.status, r.witness, r.detail) == (OracleStatus.FAIL, witness, detail)
+
+
+def test_kink_elimination_parity_memory_is_bounded():
+    # the middles longer than 16 cells go through a prefix loop, so no int
+    # holds every word of a length: 128 kB traced at max_len 32
+    tracemalloc.start()
+    try:
+        assert oracles.verify_kink_elimination_parity(32).status is OracleStatus.PASS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_annihilation_budget_exhaustion_is_reported():
